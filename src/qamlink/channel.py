@@ -22,15 +22,12 @@ class ChannelSpec:
     distance_m: float
     tx_antenna_gain_db: GainDb = 0.0
     rx_antenna_gain_db: GainDb = 0.0
-    noise_temperature_k: float = 290.0
 
     def __post_init__(self):
         if self.frequency_hz <= 0.0:
             raise ValueError(f"frequency must be > 0 Hz, got {self.frequency_hz}")
         if self.distance_m <= 0.0:
             raise ValueError(f"distance must be > 0 m, got {self.distance_m}")
-        if self.noise_temperature_k <= 0.0:
-            raise ValueError(f"noise temperature must be > 0 K, got {self.noise_temperature_k}")
 
 
 def path_gain_db(spec: ChannelSpec, distance_m: float | None = None) -> GainDb:

@@ -123,7 +123,6 @@ def _sim_report_lines(cfg: RunConfig, config: SimConfig, result: SimResult) -> l
         f"tx_power_dbm: {result.tx_power_dbm:.4f}",
         f"sample_rate_hz: {result.sample_rate_hz:.0f}",
         f"pulse_shape: {config.pulse_shape}",
-        f"pa_backoff_db: {config.pa_backoff_db:.4f}",
         f"seed: {config.seed}",
     ]
 
@@ -234,12 +233,13 @@ def cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
-def _add_common(parser: _Parser, *, bits: bool = True) -> None:
+def _add_common(parser: _Parser, *, bits: bool = True, tx_power: bool = True) -> None:
     parser.add_argument("--config", metavar="PATH", help="run configuration file")
     parser.add_argument("--out", metavar="DIR", help="output directory")
     parser.add_argument("--seed", type=int, metavar="N", help="RNG seed")
-    parser.add_argument("--tx-power", type=float, metavar="DBM",
-                        help="override transmit power")
+    if tx_power:
+        parser.add_argument("--tx-power", type=float, metavar="DBM",
+                            help="override transmit power")
     if bits:
         parser.add_argument("--bits", type=int, metavar="N",
                             help="number of bits to simulate")
@@ -266,7 +266,8 @@ def build_parser() -> _Parser:
     p_sweep = sub.add_parser(
         "ber-sweep",
         help="BER vs Eb/N0 table (measured points run the AWGN calibration setup)")
-    _add_common(p_sweep)
+    # measured points run the 0 dBm calibration setup, so no --tx-power
+    _add_common(p_sweep, tx_power=False)
     p_sweep.add_argument("--modulation", type=int, metavar="M",
                          help="QAM order (default: from config)")
     p_sweep.add_argument("--from", dest="start_db", type=float, required=True,

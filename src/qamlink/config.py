@@ -30,8 +30,7 @@ def default_tx_stages() -> list[StageSpec]:
         StageSpec("ADL5375 modulator", gain_db=0.0, nf_db=14.2),
         StageSpec.passive("TX bandpass filter", loss_db=3.0),
         # power amplifier; datasheet is silent on NF, 5 dB is typical
-        StageSpec("SE5003L1 PA", gain_db=32.0, nf_db=5.0,
-                  p1db_out_dbm=32.0, oip3_dbm=42.6),
+        StageSpec("SE5003L1 PA", gain_db=32.0, nf_db=5.0, p1db_out_dbm=32.0),
     ]
 
 
@@ -39,13 +38,12 @@ def default_rx_stages() -> list[StageSpec]:
     """Receive chain of the reference design (antenna side first)."""
     return [
         StageSpec.passive("RX bandpass filter", loss_db=3.0),
-        StageSpec("SKY65981 LNA", gain_db=13.0, nf_db=1.5,
-                  p1db_out_dbm=0.0, oip3_dbm=7.0),
+        StageSpec("SKY65981 LNA", gain_db=13.0, nf_db=1.5, p1db_out_dbm=0.0),
         StageSpec("ADL5380 demodulator", gain_db=7.0, nf_db=10.9),
     ]
 
 
-@dataclass
+@dataclass(slots=True)
 class RunConfig:
     """Union of scenario, chain, simulation, and output settings."""
 
@@ -60,7 +58,6 @@ class RunConfig:
     distance_m: float = 1.79
     tx_antenna_gain_db: float = 0.0
     rx_antenna_gain_db: float = 0.0
-    noise_temperature_k: float = 290.0
     occupied_bandwidth_hz: float | None = None
     fcc_limit_dbm: float = FCC_UNII_LIMIT_DBM
     tx_stages: list[StageSpec] = field(default_factory=default_tx_stages)
@@ -70,7 +67,6 @@ class RunConfig:
     gaussian_bt: float = 0.5
     n_bits: int = 1_000_000
     seed: int = 1
-    pa_backoff_db: float = 8.69
     evm_threshold_pct: float = 2.0
     output_dir: str = "."
     output_format: str = "both"
@@ -81,7 +77,6 @@ class RunConfig:
             distance_m=self.distance_m,
             tx_antenna_gain_db=self.tx_antenna_gain_db,
             rx_antenna_gain_db=self.rx_antenna_gain_db,
-            noise_temperature_k=self.noise_temperature_k,
         )
 
     def scenario(self) -> LinkScenario:
@@ -114,7 +109,6 @@ class RunConfig:
                 samples_per_symbol=self.samples_per_symbol,
                 pulse_shape=self.pulse_shape,
                 gaussian_bt=self.gaussian_bt,
-                pa_backoff_db=self.pa_backoff_db,
                 noise_enabled=noise_enabled,
                 pa_linear=pa_linear,
                 calibration_ebn0_db=calibration_ebn0_db,
@@ -127,13 +121,13 @@ class RunConfig:
 _FLOAT_KEYS = {
     "bit_rate_bps", "target_ber", "ebn0_override_db", "rx_nf_override_db",
     "tx_power_dbm", "frequency_hz", "distance_m", "tx_antenna_gain_db",
-    "rx_antenna_gain_db", "noise_temperature_k", "occupied_bandwidth_hz",
-    "fcc_limit_dbm", "gaussian_bt", "pa_backoff_db", "evm_threshold_pct",
+    "rx_antenna_gain_db", "occupied_bandwidth_hz", "fcc_limit_dbm",
+    "gaussian_bt", "evm_threshold_pct",
 }
 _INT_KEYS = {"modulation_order", "samples_per_symbol", "n_bits", "seed"}
 _STR_KEYS = {"pulse_shape", "output_dir", "output_format"}
 
-_STAGE_FIELDS = ("name", "gain_db", "nf_db", "p1db_out_dbm", "oip3_dbm")
+_STAGE_FIELDS = ("name", "gain_db", "nf_db", "p1db_out_dbm")
 _CHAIN_KEY = re.compile(r"^(tx|rx)_chain\.(\d+)\.(\w+)$")
 
 
@@ -216,7 +210,7 @@ def parse_config_text(text: str, source: str = "<string>") -> RunConfig:
                         f"{source}: {side}_chain.{index} is missing {required}")
             name = fields.get("name", (f"{side}_stage_{index}", 0))[0]
             numbers = {}
-            for key in ("gain_db", "nf_db", "p1db_out_dbm", "oip3_dbm"):
+            for key in _STAGE_FIELDS[1:]:
                 if key in fields:
                     value, lineno = fields[key]
                     numbers[key] = _parse_float(value, f"{source}:{lineno}")

@@ -41,6 +41,8 @@ class LinkScenario:
                 f"expected one of {SUPPORTED_ORDERS}")
         if not 0.0 < self.target_ber < 0.5:
             raise ValueError(f"target BER must be in (0, 0.5), got {self.target_ber}")
+        if not math.isfinite(self.tx_power_dbm):
+            raise ValueError(f"transmit power must be finite, got {self.tx_power_dbm}")
         if self.occupied_bandwidth_hz is not None and self.occupied_bandwidth_hz <= 0.0:
             raise ValueError("occupied bandwidth must be > 0")
 

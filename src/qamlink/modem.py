@@ -165,6 +165,14 @@ def ebn0_for_ber(order: int, target_ber: float, tol_db: float = 0.01,
         f"bisection did not reach {tol_db} dB within {max_iter} iterations")
 
 
+def evm_error_energy(measured: np.ndarray, reference: np.ndarray) -> float:
+    """Sum |a*measured - reference|^2 with a chosen to minimize it (the EVM
+    normalization: bulk gain and phase are not error)."""
+    power = np.sum(measured.real ** 2 + measured.imag ** 2)
+    scale = np.sum(np.conj(measured) * reference) / power if power > 0.0 else 0.0
+    return float(np.sum(np.abs(scale * measured - reference) ** 2))
+
+
 def evm_rms(reference, measured) -> float:
     """RMS error vector magnitude in percent.
 
@@ -176,10 +184,7 @@ def evm_rms(reference, measured) -> float:
     meas = np.asarray(measured, dtype=np.complex128)
     if ref.size == 0 or ref.shape != meas.shape:
         raise ValueError("reference and measured must be non-empty and equal-length")
-    ref_power = np.mean(np.abs(ref) ** 2)
-    if ref_power == 0.0:
+    ref_energy = np.sum(np.abs(ref) ** 2)
+    if ref_energy == 0.0:
         raise ValueError("reference power is zero")
-    meas_power = np.sum(np.abs(meas) ** 2)
-    scale = np.sum(np.conj(meas) * ref) / meas_power if meas_power > 0.0 else 0.0
-    err_power = np.mean(np.abs(scale * meas - ref) ** 2)
-    return 100.0 * math.sqrt(err_power / ref_power)
+    return 100.0 * math.sqrt(evm_error_energy(meas, ref) / ref_energy)

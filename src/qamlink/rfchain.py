@@ -8,6 +8,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .channel import complex_noise
 from .units import (
     GainDb,
     PowerDbm,
@@ -28,22 +29,18 @@ OIP3_OVER_P1DB_DB = 10.6
 
 @dataclass(frozen=True)
 class StageSpec:
-    """One RF stage: gain, noise figure, optional compression/intercept data."""
+    """One RF stage: gain, noise figure, optional output compression point."""
 
     name: str
     gain_db: GainDb
     nf_db: float = 0.0
     p1db_out_dbm: PowerDbm | None = None
-    oip3_dbm: PowerDbm | None = None
 
     def __post_init__(self):
         if not math.isfinite(self.gain_db):
             raise ValueError(f"stage {self.name!r}: gain must be finite")
         if not math.isfinite(self.nf_db) or self.nf_db < 0.0:
             raise ValueError(f"stage {self.name!r}: noise figure must be >= 0 dB")
-        if (self.p1db_out_dbm is not None and self.oip3_dbm is not None
-                and self.oip3_dbm < self.p1db_out_dbm):
-            raise ValueError(f"stage {self.name!r}: OIP3 below output P1dB")
 
     @property
     def is_nonlinear(self) -> bool:
@@ -58,7 +55,7 @@ class StageSpec:
 
     def linearized(self) -> "StageSpec":
         """Same stage with compression disabled."""
-        return replace(self, p1db_out_dbm=None, oip3_dbm=None)
+        return replace(self, p1db_out_dbm=None)
 
 
 @dataclass(frozen=True)
@@ -191,7 +188,5 @@ def chain_transfer(x, chain: ChainSpec, bandwidth_hz: float | None = None,
         if rng is not None and bandwidth_hz is not None:
             var = stage_added_noise_watts(stage, bandwidth_hz)
             if var > 0.0:
-                sigma = math.sqrt(var / 2.0)
-                y = y + sigma * (rng.standard_normal(y.shape)
-                                 + 1j * rng.standard_normal(y.shape))
+                y = y + complex_noise(rng, y.shape, var)
     return y

@@ -27,6 +27,7 @@ from .modem import (
     ConstellationMap,
     build_constellation,
     demap_hard,
+    evm_error_energy,
     map_bits,
 )
 from .rfchain import ChainSpec, chain_transfer
@@ -52,9 +53,9 @@ _STREAM_BITS, _STREAM_TX, _STREAM_CHANNEL, _STREAM_RX = range(_STREAMS_PER_BLOCK
 class SimConfig:
     """One Monte-Carlo run: scenario, TX chain, waveform and drive options.
 
-    ``pa_backoff_db`` is the output backoff of the transmit amplifier from
-    its P1dB, measured on the small-signal line against the average waveform
-    power. ``calibration_ebn0_db`` switches the channel to calibrated AWGN at
+    The TX chain is driven so that its small-signal output lands on the
+    scenario's ``tx_power_dbm``; a compressing stage delivers somewhat less.
+    ``calibration_ebn0_db`` switches the channel to calibrated AWGN at
     that Eb/N0 (stage noise off), which is the configuration used to compare
     measured BER against the closed-form curves.
     """
@@ -66,7 +67,6 @@ class SimConfig:
     samples_per_symbol: int = 8
     pulse_shape: str = "gaussian"
     gaussian_bt: float = 0.5
-    pa_backoff_db: float = 8.69
     noise_enabled: bool = True
     pa_linear: bool = False
     calibration_ebn0_db: float | None = None
@@ -237,25 +237,11 @@ class _BlockStats:
     psd_chunk: np.ndarray
 
 
-def _transmit_drive_power_dbm(config: SimConfig) -> float:
-    """Average waveform power to feed the TX chain.
-
-    With a compressing amplifier in the chain, the drive puts the amplifier's
-    straight-line output pa_backoff_db below its P1dB. Otherwise the chain
-    output lands on the scenario's transmit power.
-    """
-    stages = config.tx_chain.stages
-    pa_index = None
-    if not config.pa_linear:
-        for i in range(len(stages) - 1, -1, -1):
-            if stages[i].is_nonlinear:
-                pa_index = i
-                break
-    if pa_index is None:
-        total_gain = sum(s.gain_db for s in stages)
-        return config.scenario.tx_power_dbm - total_gain
-    gain_through_pa = sum(s.gain_db for s in stages[:pa_index + 1])
-    return stages[pa_index].p1db_out_dbm - config.pa_backoff_db - gain_through_pa
+def _block_sizes(n_symbols: int) -> list[int]:
+    """Symbols per block: full blocks, then the remainder."""
+    n_blocks = max(1, math.ceil(n_symbols / _SYMBOLS_PER_BLOCK))
+    return [_SYMBOLS_PER_BLOCK] * (n_blocks - 1) + [
+        n_symbols - _SYMBOLS_PER_BLOCK * (n_blocks - 1)]
 
 
 def _build_context(config: SimConfig) -> _Context:
@@ -280,6 +266,8 @@ def _build_context(config: SimConfig) -> _Context:
     else:
         noise_mode = "off"
 
+    # average drive power: the small-signal chain output is the transmit power
+    drive_dbm = scenario.tx_power_dbm - sum(s.gain_db for s in tx_chain.stages)
     bw = scenario.bandwidth_hz
     with warnings.catch_warnings():
         # the budget path surfaces the near-field advisory; not once per run here
@@ -295,7 +283,7 @@ def _build_context(config: SimConfig) -> _Context:
         bandwidth_hz=bw,
         tx_chain=tx_chain,
         rx_chain=rx_chain,
-        input_power_w=dbm_to_watts(_transmit_drive_power_dbm(config)),
+        input_power_w=dbm_to_watts(drive_dbm),
         path_amplitude=10.0 ** (path_db / 20.0),
         noise_mode=noise_mode,
         channel_noise_var_w=dbm_to_watts(noise_floor(bw, 0.0)),
@@ -304,14 +292,6 @@ def _build_context(config: SimConfig) -> _Context:
         psd_samples=min(n_symbols * sps, _PSD_TARGET_SAMPLES),
         cloud_points=min(n_symbols, _MAX_CLOUD_POINTS),
     )
-
-
-def _evm_energy(measured: np.ndarray, reference: np.ndarray) -> float:
-    """Sum |a*measured - reference|^2 with a chosen to minimize it (the EVM
-    normalization: bulk gain and phase are not error)."""
-    power = np.sum(measured.real ** 2 + measured.imag ** 2)
-    scale = np.sum(np.conj(measured) * reference) / power if power > 0.0 else 0.0
-    return float(np.sum(np.abs(scale * measured - reference) ** 2))
 
 
 def _gain_normalized(measured: np.ndarray, reference: np.ndarray) -> np.ndarray:
@@ -391,8 +371,8 @@ def _simulate_block(config: SimConfig, ctx: _Context, block: int, start_sym: int
         n_bits=n_sym * cmap.bits_per_symbol,
         n_errors=n_errors,
         ref_energy=float(np.sum(np.abs(ref) ** 2)),
-        tx_err_energy=_evm_energy(tx_samples, ref),
-        rx_err_energy=_evm_energy(rx_samples, ref),
+        tx_err_energy=evm_error_energy(tx_samples, ref),
+        rx_err_energy=evm_error_energy(rx_samples, ref),
         tx_power_sum=float(np.sum(tx_interior.real ** 2 + tx_interior.imag ** 2)),
         tx_sample_count=tx_interior.size,
         tx_cloud=tx_norm[:cloud_take].copy(),
@@ -420,13 +400,11 @@ def run_link_sim(config: SimConfig) -> SimResult:
     RNG streams and the reduction happens in block order.
     """
     ctx = _build_context(config)
-    n_blocks = max(1, math.ceil(ctx.n_symbols / _SYMBOLS_PER_BLOCK))
-    sizes = [_SYMBOLS_PER_BLOCK] * (n_blocks - 1)
-    sizes.append(ctx.n_symbols - _SYMBOLS_PER_BLOCK * (n_blocks - 1))
-    starts = [_SYMBOLS_PER_BLOCK * i for i in range(n_blocks)]
+    sizes = _block_sizes(ctx.n_symbols)
+    n_blocks = len(sizes)
 
     def job(i: int) -> _BlockStats:
-        return _simulate_block(config, ctx, i, starts[i], sizes[i])
+        return _simulate_block(config, ctx, i, _SYMBOLS_PER_BLOCK * i, sizes[i])
 
     workers = worker_count(n_blocks)
     if workers == 1:
@@ -464,21 +442,16 @@ def transmit_waveform(config: SimConfig, max_samples: int = _PSD_TARGET_SAMPLES
                       ) -> tuple[np.ndarray, float]:
     """Steady-state transmitted waveform (TX side only) and its sample rate.
 
-    Uses the same per-block RNG streams as run_link_sim, so the waveform is
-    the one the full simulation would transmit.
+    Uses the same blocks and per-block RNG streams as run_link_sim, so the
+    waveform is the one the full simulation would transmit. Only the blocks
+    needed for max_samples run, one after another.
     """
     ctx = _build_context(config)
+    wanted = min(max_samples, ctx.n_symbols * ctx.sps)
+    n_needed = math.ceil(wanted / (_SYMBOLS_PER_BLOCK * ctx.sps))
     pieces = []
-    collected = 0
-    block = 0
-    remaining_sym = ctx.n_symbols
-    while collected < min(max_samples, ctx.n_symbols * ctx.sps) and remaining_sym > 0:
-        n_sym = min(remaining_sym, _SYMBOLS_PER_BLOCK)
+    for block, n_sym in enumerate(_block_sizes(ctx.n_symbols)[:n_needed]):
         _, _, wave = _tx_block(config, ctx, block, n_sym)
-        interior = wave[ctx.guard_symbols * ctx.sps:(ctx.guard_symbols + n_sym) * ctx.sps]
-        pieces.append(interior)
-        collected += interior.size
-        remaining_sym -= n_sym
-        block += 1
+        pieces.append(wave[ctx.guard_symbols * ctx.sps:(ctx.guard_symbols + n_sym) * ctx.sps])
     wave = np.concatenate(pieces)[:max_samples]
     return wave, ctx.sample_rate_hz

@@ -160,7 +160,7 @@ def test_criterion_7_tx_evm_bracket():
     for backoff in (8.69, 14.69):
         cfg = RunConfig()
         cfg.n_bits = 200_000
-        cfg.pa_backoff_db = backoff
+        cfg.tx_power_dbm = 32.0 - backoff  # backoff below the PA's 32 dBm P1dB
         evms.append(run_link_sim(cfg.sim_config()).tx_evm_pct)
     ok = 0.5 <= evms[0] <= 6.0 and evms[1] < evms[0]
     record(7, ok, f"tx EVM {evms[0]:.3f}% in [0.5, 6]; +6 dB backoff -> "

@@ -22,8 +22,6 @@ class TestChannelSpec:
             ChannelSpec(frequency_hz=0.0, distance_m=1.0)
         with pytest.raises(ValueError):
             ChannelSpec(frequency_hz=5e9, distance_m=0.0)
-        with pytest.raises(ValueError):
-            ChannelSpec(frequency_hz=5e9, distance_m=1.0, noise_temperature_k=0.0)
 
 
 class TestFriis:

@@ -30,13 +30,22 @@ class TestConfigParsing:
         assert cfg.ebn0_override_db == ref.ebn0_override_db
         assert cfg.rx_nf_override_db == ref.rx_nf_override_db
         assert cfg.tx_power_dbm == ref.tx_power_dbm
-        assert cfg.pa_backoff_db == ref.pa_backoff_db
         assert cfg.tx_stages == ref.tx_stages
         assert cfg.rx_stages == ref.rx_stages
 
     def test_unknown_key_reports_line(self):
         with pytest.raises(ConfigError, match=r"cfg:3: unknown key 'bogus'"):
             parse_config_text("seed = 1\n\nbogus = 2\n", source="cfg")
+        # removed inputs: the drive follows tx_power_dbm; kT is fixed at 290 K
+        for line in ("pa_backoff_db = 8.69", "noise_temperature_k = 290"):
+            key = line.split()[0]
+            with pytest.raises(ConfigError, match=rf"cfg:2: unknown key '{key}'"):
+                parse_config_text(f"seed = 1\n{line}\n", source="cfg")
+
+    def test_removed_field_assignment_raises(self):
+        cfg = RunConfig()
+        with pytest.raises(AttributeError):
+            cfg.pa_backoff_db = 14.69
 
     def test_malformed_line_reports_line(self):
         with pytest.raises(ConfigError, match=r"cfg:2: expected 'key = value'"):
@@ -75,11 +84,13 @@ class TestConfigParsing:
     def test_invalid_stage_field(self):
         with pytest.raises(ConfigError, match="unknown stage field"):
             parse_config_text("rx_chain.1.shoe_size = 9\n", source="cfg")
+        # the AM/AM model is set by P1dB alone, so OIP3 is not an input
+        with pytest.raises(ConfigError, match=r"cfg:2: unknown stage field 'oip3_dbm'"):
+            parse_config_text("seed = 1\ntx_chain.3.oip3_dbm = 42.6\n", source="cfg")
 
     def test_inconsistent_stage_values(self):
-        text = ("rx_chain.1.gain_db = 10\nrx_chain.1.nf_db = 2\n"
-                "rx_chain.1.p1db_out_dbm = 30\nrx_chain.1.oip3_dbm = 20\n")
-        with pytest.raises(ConfigError, match="OIP3 below output P1dB"):
+        text = "rx_chain.1.gain_db = 10\nrx_chain.1.nf_db = -1\n"
+        with pytest.raises(ConfigError, match=r"rx_chain.1: .*noise figure must be >= 0 dB"):
             parse_config_text(text, source="cfg")
 
     def test_missing_file(self):
@@ -159,6 +170,20 @@ class TestSimulateCommand:
         hi = float(report["ber_ci95_high"])
         assert lo <= theoretical_ber(4, 7.0) <= hi
 
+    def test_tx_power_sets_transmitted_power(self, tmp_path):
+        code = cli.main(["simulate", "--config", str(PAPER_CFG), "--bits", "80000",
+                         "--tx-power", "17.31", "--out", str(tmp_path)])
+        assert code == 0
+        report = read_report(tmp_path / "sim_report.txt")
+        assert float(report["tx_power_dbm"]) == pytest.approx(17.31, abs=0.1)
+
+    def test_non_finite_tx_power_rejected(self, tmp_path, capsys):
+        for command in ("budget", "simulate"):
+            code = cli.main([command, "--config", str(PAPER_CFG), "--tx-power", "nan",
+                             "--out", str(tmp_path)])
+            assert code == 1
+            assert "transmit power must be finite" in capsys.readouterr().err
+
     def test_output_files_use_dot_decimal_and_trailing_newline(self, tmp_path):
         cli.main(["simulate", "--config", str(QPSK_CFG), "--bits", "10000",
                   "--out", str(tmp_path)])
@@ -207,6 +232,14 @@ class TestBerSweepCommand:
         code = cli.main(["ber-sweep", "--from", "10", "--to", "12",
                          "--step", "0", "--theory-only", "--out", str(tmp_path)])
         assert code == 1
+
+    def test_tx_power_rejected(self, tmp_path, capsys):
+        # measured points run a fixed 0 dBm calibration setup
+        code = cli.main(["ber-sweep", "--config", str(QPSK_CFG), "--from", "0",
+                         "--to", "1", "--theory-only", "--tx-power", "5",
+                         "--out", str(tmp_path)])
+        assert code == 1
+        assert "--tx-power" in capsys.readouterr().err
 
 
 class TestSpectrumCommand:

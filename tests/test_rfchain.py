@@ -19,7 +19,7 @@ from qamlink.rfchain import (
 from qamlink.units import db_to_linear, dbm_to_watts, watts_to_dbm
 
 LNA = StageSpec("lna", gain_db=13.0, nf_db=1.5)
-PA = StageSpec("pa", gain_db=32.0, nf_db=5.0, p1db_out_dbm=32.0, oip3_dbm=42.6)
+PA = StageSpec("pa", gain_db=32.0, nf_db=5.0, p1db_out_dbm=32.0)
 BOM_RX = ChainSpec(tuple(default_rx_stages()))
 
 
@@ -37,10 +37,6 @@ class TestStageSpec:
     def test_rejects_negative_nf(self):
         with pytest.raises(ValueError):
             StageSpec("bad", gain_db=10.0, nf_db=-0.1)
-
-    def test_rejects_oip3_below_p1db(self):
-        with pytest.raises(ValueError):
-            StageSpec("bad", gain_db=10.0, nf_db=3.0, p1db_out_dbm=30.0, oip3_dbm=29.0)
 
     def test_passive_helper_sets_nf_to_loss(self):
         stage = StageSpec.passive("filter", loss_db=3.0)

@@ -189,7 +189,7 @@ class TestRunLinkSim:
         for backoff in (2.69, 8.69, 14.69):
             cfg = RunConfig()
             cfg.n_bits = 100_000
-            cfg.pa_backoff_db = backoff
+            cfg.tx_power_dbm = 32.0 - backoff  # backoff below the PA's 32 dBm P1dB
             values.append(run_link_sim(cfg.sim_config()).tx_evm_pct)
         assert values[0] > values[1] > values[2]
 
