@@ -24,6 +24,10 @@ class ChannelSpec:
     rx_antenna_gain_db: GainDb = 0.0
 
     def __post_init__(self):
+        for name in ("frequency_hz", "distance_m", "tx_antenna_gain_db",
+                     "rx_antenna_gain_db"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.frequency_hz <= 0.0:
             raise ValueError(f"frequency must be > 0 Hz, got {self.frequency_hz}")
         if self.distance_m <= 0.0:
@@ -64,9 +68,15 @@ def noise_generator(seed: int, stream: int = 0) -> np.random.Generator:
 
 
 def complex_noise(rng: np.random.Generator, shape, variance_watts: float) -> np.ndarray:
-    """Circularly symmetric complex Gaussian samples of the given total variance."""
-    sigma = math.sqrt(variance_watts / 2.0)
-    return sigma * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    """Circularly symmetric complex Gaussian samples of the given total variance.
+
+    Each sample is one (real, imaginary) pair of N(0, 1) draws viewed as
+    complex128 and scaled in place, so no temporary complex array is built.
+    """
+    shape = (shape,) if np.ndim(shape) == 0 else tuple(shape)
+    noise = rng.standard_normal((*shape, 2)).view(np.complex128).reshape(shape)
+    noise *= math.sqrt(variance_watts / 2.0)
+    return noise
 
 
 def add_awgn(samples, signal_power_watts: float, snr_db: float, seed: int,

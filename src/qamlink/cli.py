@@ -21,6 +21,7 @@ from .simulate import (
     SimConfig,
     SimResult,
     estimate_spectrum,
+    psd_segments,
     run_link_sim,
     transmit_waveform,
 )
@@ -225,8 +226,7 @@ def cmd_spectrum(args) -> int:
         pa_linear=args.linear_pa,
     )
     wave, sample_rate = transmit_waveform(config)
-    n_segments = max(3, 2 * wave.size // 512 - 1)
-    psd = estimate_spectrum(wave, sample_rate, n_segments)
+    psd = estimate_spectrum(wave, sample_rate, psd_segments(wave.size))
     _write_psd_csv(os.path.join(cfg.output_dir, PSD_CSV_NAME), psd)
     print(f"wrote {psd.shape[0]} PSD bins at {sample_rate:.0f} Hz sample rate "
           f"to {os.path.join(cfg.output_dir, PSD_CSV_NAME)}")

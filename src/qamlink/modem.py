@@ -7,9 +7,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 SUPPORTED_ORDERS = (4, 16, 64, 256)
+
+_erfc = np.vectorize(math.erfc, otypes=[float])
 
 
 def _gray(n):
@@ -138,7 +139,7 @@ def theoretical_ber(order: int, ebn0_db):
         raise ValueError(f"unsupported QAM order {order}; expected one of {SUPPORTED_ORDERS}")
     n = math.log2(order)
     gamma_b = 10.0 ** (np.asarray(ebn0_db, dtype=float) / 10.0)
-    q = 0.5 * erfc(np.sqrt(1.5 * n / (order - 1) * gamma_b))
+    q = 0.5 * _erfc(np.sqrt(1.5 * n / (order - 1) * gamma_b))
     ber = np.minimum((4.0 / n) * (1.0 - 1.0 / math.sqrt(order)) * q, 0.5)
     return float(ber) if np.isscalar(ebn0_db) else ber
 

@@ -175,18 +175,45 @@ def stage_added_noise_watts(spec: StageSpec, bandwidth_hz: float) -> float:
 
 
 def chain_transfer(x, chain: ChainSpec, bandwidth_hz: float | None = None,
-                   rng: np.random.Generator | None = None) -> np.ndarray:
+                   rng: np.random.Generator | None = None,
+                   input_noise_watts: float = 0.0) -> np.ndarray:
     """Run complex baseband samples through every stage in order.
 
-    Given an RNG and a bandwidth, each stage also injects its own thermal
-    noise (kTB(F-1)G at the stage output), which makes a simulated chain
-    reproduce the Friis cascade noise figure when driven at the kTB floor.
+    Given an RNG the chain is noisy: ``input_noise_watts`` of noise is due at
+    the chain input and, given a bandwidth too, each stage adds its own
+    thermal noise (kTB(F-1)G at the stage output), which makes a simulated
+    chain reproduce the Friis cascade noise figure when driven at the kTB
+    floor.
+
+    Noise of variance s2 ahead of a linear voltage gain g equals noise of
+    variance g^2 s2 behind it, so each maximal run of linear stages folds into
+    one gain and one output-referred noise variance. Both are applied once,
+    just before the next compressing stage or at the chain output: the
+    output has the same distribution as with a draw after every stage.
     """
     y = np.asarray(x, dtype=np.complex128)
+    gain = 1.0
+    noise_w = input_noise_watts if rng is not None else 0.0
     for stage in chain.stages:
-        y = amplifier_transfer(y, stage)
+        if stage.is_nonlinear:
+            y = amplifier_transfer(_linear_run(y, gain, noise_w, rng), stage)
+            gain, noise_w = 1.0, 0.0
+        else:
+            g = 10.0 ** (stage.gain_db / 20.0)
+            gain *= g
+            noise_w *= g * g
         if rng is not None and bandwidth_hz is not None:
-            var = stage_added_noise_watts(stage, bandwidth_hz)
-            if var > 0.0:
-                y = y + complex_noise(rng, y.shape, var)
+            noise_w += stage_added_noise_watts(stage, bandwidth_hz)
+    return _linear_run(y, gain, noise_w, rng)
+
+
+def _linear_run(y: np.ndarray, gain: float, noise_w: float,
+                rng: np.random.Generator | None) -> np.ndarray:
+    """Folded linear stages: voltage gain, then one output-referred noise draw."""
+    if gain != 1.0:
+        y = y * gain
+    if noise_w > 0.0:
+        noise = complex_noise(rng, y.shape, noise_w)
+        noise += y
+        y = noise
     return y

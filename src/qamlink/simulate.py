@@ -16,10 +16,10 @@ import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
+from statistics import NormalDist
 
 import numpy as np
-import scipy.signal
-from scipy.special import ndtri
 
 from .channel import complex_noise, noise_floor, noise_generator, path_gain_db
 from .linkbudget import LinkScenario
@@ -33,7 +33,7 @@ from .modem import (
 from .rfchain import ChainSpec, chain_transfer
 from .units import dbm_to_watts, watts_to_dbm
 
-Z_95 = float(ndtri(0.975))
+Z_95 = NormalDist().inv_cdf(0.975)
 
 PULSE_SHAPES = ("rectangular", "gaussian")
 
@@ -43,6 +43,7 @@ _SYMBOLS_PER_BLOCK = 32768
 _MAX_CLOUD_POINTS = 4096
 _PSD_TARGET_SAMPLES = 1 << 20
 _PSD_SEGMENT_SAMPLES = 512
+_WELCH_CHUNK_SEGMENTS = 256
 
 # per-block RNG substreams
 _STREAMS_PER_BLOCK = 4
@@ -97,13 +98,19 @@ class SimResult:
     ber_confidence: tuple[float, float]  # 95% Wilson interval
     tx_evm_pct: float
     rx_evm_pct: float
-    psd: np.ndarray                      # (n, 2): frequency_hz, power_db rel peak
+    tx_waveform: np.ndarray              # leading TX samples, <= 1 M; the PSD input
     tx_constellation: np.ndarray         # complex symbol-instant samples, <= 4096
     rx_constellation: np.ndarray
     n_bits_run: int
     n_bit_errors: int
     sample_rate_hz: float
     tx_power_dbm: float                  # measured average transmitted power
+
+    @cached_property
+    def psd(self) -> np.ndarray:
+        """(n, 2): frequency_hz, power_db rel peak; estimated on first access."""
+        return estimate_spectrum(self.tx_waveform, self.sample_rate_hz,
+                                 psd_segments(self.tx_waveform.size))
 
 
 def wilson_interval(errors: int, trials: int, z: float = Z_95) -> tuple[float, float]:
@@ -162,18 +169,33 @@ def welch_psd(samples, sample_rate_hz: float, segment_len: int):
     """Averaged-periodogram density estimate (Hann window, 50% overlap).
 
     Returns (frequencies, linear density) with frequencies spanning +/-fs/2.
-    The density integrates to the time-domain mean power (Parseval).
+    The density integrates to the time-domain mean power (Parseval). The
+    segments are strided views of the input, transformed a chunk at a time
+    so the windowed copies stay a few MB.
     """
     samples = np.asarray(samples, dtype=np.complex128)
     if samples.size < 2 * segment_len:
         raise ValueError(
             f"need at least {2 * segment_len} samples for {segment_len}-sample "
             f"segments, got {samples.size}")
-    freqs, density = scipy.signal.welch(
-        samples, fs=sample_rate_hz, window="hann", nperseg=segment_len,
-        noverlap=segment_len // 2, detrend=False, return_onesided=False,
-        scaling="density")
+    step = segment_len - segment_len // 2
+    segments = np.lib.stride_tricks.sliding_window_view(samples, segment_len)[::step]
+    # periodic Hann window
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(segment_len) / segment_len)
+    power = np.zeros(segment_len)
+    for start in range(0, len(segments), _WELCH_CHUNK_SEGMENTS):
+        spectra = np.fft.fft(segments[start:start + _WELCH_CHUNK_SEGMENTS] * window,
+                             axis=1)
+        power += np.sum(spectra.real ** 2 + spectra.imag ** 2, axis=0)
+    density = power / (len(segments) * sample_rate_hz * np.sum(window ** 2))
+    freqs = np.fft.fftfreq(segment_len, 1.0 / sample_rate_hz)
     return np.fft.fftshift(freqs), np.fft.fftshift(density)
+
+
+def psd_segments(n_samples: int) -> int:
+    """Welch segment count for an n-sample waveform: 512-sample segments,
+    at least three."""
+    return max(3, 2 * n_samples // _PSD_SEGMENT_SAMPLES - 1)
 
 
 def estimate_spectrum(samples, sample_rate_hz: float, n_segments: int) -> np.ndarray:
@@ -214,7 +236,7 @@ class _Context:
     rx_chain: ChainSpec
     input_power_w: float
     path_amplitude: float
-    # "thermal": kTB channel noise plus per-stage noise
+    # "thermal": kTB channel noise plus stage noise, both drawn by the chains
     # "ebn0":    calibrated AWGN only   "off": no noise anywhere
     noise_mode: str
     channel_noise_var_w: float  # thermal mode only
@@ -342,21 +364,20 @@ def _simulate_block(config: SimConfig, ctx: _Context, block: int, start_sym: int
     tx_samples = wave[instants]
     tx_interior = wave[guard * sps:(guard + n_sym) * sps]
 
-    # free-space path, then the additive noise for the selected mode
+    # free-space path, then the additive noise for the selected mode; thermal
+    # channel noise is due at the RX chain input, which draws it together
+    # with the noise of the chain's first linear stages
     wave = wave * ctx.path_amplitude
+    rx_rng = None
     if ctx.noise_mode == "thermal":
-        chan_rng = noise_generator(config.seed, base + _STREAM_CHANNEL)
-        wave = wave + complex_noise(chan_rng, wave.shape, ctx.channel_noise_var_w)
         rx_rng = noise_generator(config.seed, base + _STREAM_RX)
     elif ctx.noise_mode == "ebn0":
         chan_rng = noise_generator(config.seed, base + _STREAM_CHANNEL)
         rx_power = np.mean(wave.real ** 2 + wave.imag ** 2)
         variance = rx_power / 10.0 ** (ctx.esn0_db / 10.0)
         wave = wave + complex_noise(chan_rng, wave.shape, variance)
-        rx_rng = None
-    else:
-        rx_rng = None
-    wave = chain_transfer(wave, ctx.rx_chain, ctx.bandwidth_hz, rx_rng)
+    wave = chain_transfer(wave, ctx.rx_chain, ctx.bandwidth_hz, rx_rng,
+                          ctx.channel_noise_var_w)
 
     rx_samples = wave[instants]
     tx_norm = _gain_normalized(tx_samples, ref)
@@ -387,7 +408,7 @@ def worker_count(n_jobs: int) -> int:
     env = os.environ.get(WORKER_ENV_VAR)
     if env:
         try:
-            cap = max(1, int(env))
+            cap = min(cap, max(1, int(env)))
         except ValueError:
             warnings.warn(f"ignoring non-integer {WORKER_ENV_VAR}={env!r}")
     return max(1, min(cap, n_jobs))
@@ -419,16 +440,12 @@ def run_link_sim(config: SimConfig) -> SimResult:
     rx_err = sum(s.rx_err_energy for s in stats)
     tx_power_w = sum(s.tx_power_sum for s in stats) / sum(s.tx_sample_count for s in stats)
 
-    psd_wave = np.concatenate([s.psd_chunk for s in stats])
-    n_segments = max(3, 2 * psd_wave.size // _PSD_SEGMENT_SAMPLES - 1)
-    psd = estimate_spectrum(psd_wave, ctx.sample_rate_hz, n_segments)
-
     return SimResult(
         measured_ber=n_errors / config.n_bits,
         ber_confidence=wilson_interval(n_errors, config.n_bits),
         tx_evm_pct=100.0 * math.sqrt(tx_err / ref_energy),
         rx_evm_pct=100.0 * math.sqrt(rx_err / ref_energy),
-        psd=psd,
+        tx_waveform=np.concatenate([s.psd_chunk for s in stats]),
         tx_constellation=np.concatenate([s.tx_cloud for s in stats]),
         rx_constellation=np.concatenate([s.rx_cloud for s in stats]),
         n_bits_run=config.n_bits,

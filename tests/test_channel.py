@@ -23,6 +23,15 @@ class TestChannelSpec:
         with pytest.raises(ValueError):
             ChannelSpec(frequency_hz=5e9, distance_m=0.0)
 
+    @pytest.mark.parametrize("field", ["frequency_hz", "distance_m",
+                                       "tx_antenna_gain_db", "rx_antenna_gain_db"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_fields(self, field, value):
+        fields = dict(frequency_hz=5e9, distance_m=1.79)
+        fields[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            ChannelSpec(**fields)
+
 
 class TestFriis:
     def test_published_operating_point(self):

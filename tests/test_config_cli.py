@@ -1,5 +1,6 @@
 import math
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -183,6 +184,22 @@ class TestSimulateCommand:
                              "--out", str(tmp_path)])
             assert code == 1
             assert "transmit power must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["distance_m = nan", "frequency_hz = inf"])
+    def test_non_finite_channel_rejected_with_file_name(self, tmp_path, capsys, line):
+        """Used to give a budget with nan power (distance) or a traceback
+        (frequency); now both exit 1 with one line naming the file."""
+        key = line.split()[0]
+        text, n = re.subn(rf"^{key} = .*$", line, PAPER_CFG.read_text(), flags=re.M)
+        assert n == 1
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        for command in ("budget", "simulate"):
+            code = cli.main([command, "--config", str(path), "--out", str(tmp_path)])
+            err = capsys.readouterr().err
+            assert code == 1
+            assert err.count("\n") == 1
+            assert str(path) in err and f"{key} must be finite" in err
 
     def test_output_files_use_dot_decimal_and_trailing_newline(self, tmp_path):
         cli.main(["simulate", "--config", str(QPSK_CFG), "--bits", "10000",

@@ -1,10 +1,11 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qamlink.channel import complex_noise, noise_floor, noise_generator
-from qamlink.config import default_rx_stages
+from qamlink.config import default_rx_stages, default_tx_stages, load_config
 from qamlink.rfchain import (
     ChainSpec,
     StageSpec,
@@ -21,6 +22,7 @@ from qamlink.units import db_to_linear, dbm_to_watts, watts_to_dbm
 LNA = StageSpec("lna", gain_db=13.0, nf_db=1.5)
 PA = StageSpec("pa", gain_db=32.0, nf_db=5.0, p1db_out_dbm=32.0)
 BOM_RX = ChainSpec(tuple(default_rx_stages()))
+PAPER_CFG = Path(__file__).resolve().parent.parent / "paper.cfg"
 
 
 def brute_force_cascade(stages):
@@ -215,3 +217,61 @@ class TestStageNoise:
         result = cascade(BOM_RX)
         f_meas = np.mean(np.abs(y) ** 2) / (ktb_w * db_to_linear(result.total_gain_db))
         assert 10 * math.log10(f_meas) == pytest.approx(result.total_nf_db, abs=0.2)
+
+
+class CountingRng:
+    """numpy Generator stand-in that counts the N(0, 1) samples drawn."""
+
+    def __init__(self, seed):
+        self._rng = noise_generator(seed, 0)
+        self.samples = 0
+
+    def standard_normal(self, shape):
+        out = self._rng.standard_normal(shape)
+        self.samples += out.size
+        return out
+
+
+class TestMergedNoise:
+    """One noise draw per maximal run of linear stages."""
+
+    BW = 250e6
+    N = 10_000
+
+    def _complex_draws(self, chain, input_noise_watts=0.0):
+        rng = CountingRng(1)
+        x = np.full(self.N, 1e-3 + 0j)
+        chain_transfer(x, chain, self.BW, rng, input_noise_watts)
+        assert rng.samples % (2 * self.N) == 0
+        return rng.samples // (2 * self.N)
+
+    def test_paper_chains_draw_twice(self):
+        cfg = load_config(str(PAPER_CFG))
+        ktb_w = dbm_to_watts(noise_floor(self.BW, 0.0))
+        # before the PA, and at the TX output
+        assert self._complex_draws(ChainSpec(tuple(cfg.tx_stages))) == 2
+        # channel + RX filter before the LNA, LNA + demodulator at the output
+        assert self._complex_draws(ChainSpec(tuple(cfg.rx_stages)), ktb_w) == 2
+
+    def test_linearized_chain_draws_once(self):
+        ktb_w = dbm_to_watts(noise_floor(self.BW, 0.0))
+        assert self._complex_draws(ChainSpec(tuple(default_tx_stages())).linearized()) == 1
+        assert self._complex_draws(BOM_RX.linearized(), ktb_w) == 1
+
+    def test_no_rng_means_no_noise(self):
+        x = np.array([1e-3 + 0j, -2e-3j])
+        y = chain_transfer(x, BOM_RX.linearized(), self.BW, None, 1.0)
+        np.testing.assert_allclose(y, x * 10 ** (17.0 / 20.0), rtol=1e-12)
+
+    def test_noise_only_output_variance_matches_sum(self):
+        """Zero signal plus kTB at the input of the paper RX chain: output
+        variance is sum_i g_i^2 sigma_i^2 over the input and every stage."""
+        ktb_w = dbm_to_watts(noise_floor(self.BW, 0.0))
+        y = chain_transfer(np.zeros(1_000_000, dtype=complex), BOM_RX, self.BW,
+                           noise_generator(11, 0), ktb_w)
+        sources = [(ktb_w, 0)] + [(stage_added_noise_watts(s, self.BW), i + 1)
+                                  for i, s in enumerate(BOM_RX.stages)]
+        expected = sum(
+            var * db_to_linear(sum(s.gain_db for s in BOM_RX.stages[first:]))
+            for var, first in sources)
+        assert np.mean(np.abs(y) ** 2) == pytest.approx(expected, rel=0.02)

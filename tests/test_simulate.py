@@ -1,8 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qamlink
+from qamlink import simulate
 from qamlink.channel import complex_noise, noise_generator
 from qamlink.config import RunConfig
 from qamlink.modem import theoretical_ber
@@ -10,11 +16,13 @@ from qamlink.simulate import (
     SimConfig,
     estimate_spectrum,
     gaussian_taps,
+    psd_segments,
     pulse_shape,
     run_link_sim,
     transmit_waveform,
     welch_psd,
     wilson_interval,
+    worker_count,
 )
 
 
@@ -127,6 +135,19 @@ class TestSpectrumEstimate:
         integral = np.sum(density) * (8.0 / 512)
         assert integral == pytest.approx(np.mean(np.abs(x) ** 2), rel=0.01)
 
+    @pytest.mark.parametrize("segment_len", [64, 512, 2048])
+    def test_welch_psd_matches_scipy(self, segment_len):
+        signal = pytest.importorskip("scipy.signal")
+        rng = np.random.default_rng(segment_len)
+        x = rng.standard_normal(300_001) + 1j * rng.standard_normal(300_001)
+        freqs, density = welch_psd(x, 3.0, segment_len)
+        ref_freqs, ref_density = signal.welch(
+            x, fs=3.0, window="hann", nperseg=segment_len,
+            noverlap=segment_len // 2, detrend=False, return_onesided=False,
+            scaling="density")
+        np.testing.assert_array_equal(freqs, np.fft.fftshift(ref_freqs))
+        np.testing.assert_allclose(density, np.fft.fftshift(ref_density), rtol=1e-12)
+
     def test_too_short_input_rejected(self):
         with pytest.raises(ValueError):
             welch_psd(np.ones(100, dtype=complex), 1.0, 512)
@@ -233,9 +254,49 @@ class TestRunLinkSim:
         np.testing.assert_array_equal(a.tx_constellation, b.tx_constellation)
         np.testing.assert_array_equal(a.rx_constellation, b.rx_constellation)
 
+    def test_psd_is_estimated_on_first_access(self, monkeypatch):
+        calls = []
+        real = simulate.estimate_spectrum
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(simulate, "estimate_spectrum", counting)
+        cfg = RunConfig()
+        cfg.n_bits = 80_000
+        result = run_link_sim(cfg.sim_config())
+        assert calls == []
+        psd = result.psd
+        assert result.psd is psd and len(calls) == 1
+        expected = real(result.tx_waveform, result.sample_rate_hz,
+                        psd_segments(result.tx_waveform.size))
+        np.testing.assert_array_equal(psd, expected)
+
     def test_transmit_waveform_matches_sim_prefix(self):
         cfg = RunConfig()
         cfg.n_bits = 80_000
         wave, fs = transmit_waveform(cfg.sim_config(), max_samples=4096)
         assert wave.size == 4096
         assert fs == 8 * 125e6
+
+
+def test_worker_count_never_exceeds_cpus_or_jobs(monkeypatch):
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
+    monkeypatch.setenv("QAMLINK_THREADS", "64")
+    assert worker_count(16) == 2
+    assert worker_count(1) == 1
+    monkeypatch.setenv("QAMLINK_THREADS", "1")
+    assert worker_count(16) == 1
+    monkeypatch.delenv("QAMLINK_THREADS")
+    assert worker_count(16) == 2
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(qamlink.__file__).resolve().parent.parent)
+    code = ("import sys, qamlink.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src},
+                         timeout=120)
+    assert out.stdout.strip() == "[]"
