@@ -12,11 +12,9 @@ import math
 import os
 import sys
 
-from .channel import ChannelSpec
 from .config import ConfigError, RunConfig, load_config
-from .linkbudget import LinkBudgetReport, LinkScenario, analyze
+from .linkbudget import LinkBudgetReport, analyze
 from .modem import SUPPORTED_ORDERS, theoretical_ber
-from .rfchain import ChainSpec, StageSpec
 from .simulate import (
     SimConfig,
     SimResult,
@@ -164,52 +162,31 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _calibration_sim(order: int, ebn0_db: float, n_bits: int, seed: int) -> SimConfig:
-    """AWGN-only reference configuration: rectangular pulses, ideal chains."""
-    unity = ChainSpec((StageSpec("ideal", gain_db=0.0, nf_db=0.0),))
-    scenario = LinkScenario(
-        bit_rate_bps=1e9,
-        modulation_order=order,
-        target_ber=1e-5,
-        tx_power_dbm=0.0,
-        channel=ChannelSpec(frequency_hz=5e9, distance_m=1.0),
-        rx_chain=unity,
-    )
-    return SimConfig(
-        scenario=scenario,
-        tx_chain=unity,
-        n_bits=n_bits,
-        seed=seed,
-        samples_per_symbol=2,
-        pulse_shape="rectangular",
-        pa_linear=True,
-        calibration_ebn0_db=ebn0_db,
-    )
-
-
 def cmd_ber_sweep(args) -> int:
     cfg = _load(args)
-    order = args.modulation if args.modulation else cfg.modulation_order
-    if order not in SUPPORTED_ORDERS:
-        raise ConfigError(
-            f"--modulation must be one of {SUPPORTED_ORDERS}, got {order}")
+    if args.modulation is not None:
+        cfg.modulation_order = args.modulation
+    for flag, value in (("--from", args.start_db), ("--to", args.stop_db),
+                        ("--step", args.step)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{flag} must be finite, got {value}")
     if args.step <= 0:
         raise ConfigError(f"--step must be > 0, got {args.step}")
     if args.stop_db < args.start_db:
         raise ConfigError("--to must be >= --from")
     n_points = math.floor((args.stop_db - args.start_db) / args.step + 1e-9) + 1
     ebn0_values = [args.start_db + i * args.step for i in range(n_points)]
+    n = int(math.log2(cfg.modulation_order))
+    n_bits = max(n, cfg.n_bits - cfg.n_bits % n)
 
     rows = []
     for i, ebn0 in enumerate(ebn0_values):
-        theory = theoretical_ber(order, ebn0)
+        theory = theoretical_ber(cfg.modulation_order, ebn0)
         if args.theory_only:
             rows.append(f"{ebn0:.2f},{theory:.8e},,,")
             continue
-        n = int(math.log2(order))
-        n_bits = max(n, cfg.n_bits - cfg.n_bits % n)
-        config = _calibration_sim(order, ebn0, n_bits, cfg.seed + i)
-        result = run_link_sim(config)
+        result = run_link_sim(cfg.sim_config(n_bits=n_bits, seed=cfg.seed + i,
+                                             calibration_ebn0_db=ebn0))
         ci_low, ci_high = result.ber_confidence
         rows.append(f"{ebn0:.2f},{theory:.8e},{result.measured_ber:.8e},"
                     f"{ci_low:.8e},{ci_high:.8e}")
@@ -265,11 +242,12 @@ def build_parser() -> _Parser:
 
     p_sweep = sub.add_parser(
         "ber-sweep",
-        help="BER vs Eb/N0 table (measured points run the AWGN calibration setup)")
-    # measured points run the 0 dBm calibration setup, so no --tx-power
+        help="BER vs Eb/N0 table: closed-form curve and the configured link "
+             "under calibrated AWGN (qpsk.cfg: the AWGN calibration setup)")
+    # each point sets Eb/N0 itself; the PA drive stays the config's tx_power_dbm
     _add_common(p_sweep, tx_power=False)
-    p_sweep.add_argument("--modulation", type=int, metavar="M",
-                         help="QAM order (default: from config)")
+    p_sweep.add_argument("--modulation", type=int, choices=SUPPORTED_ORDERS,
+                         metavar="M", help="QAM order (default: from config)")
     p_sweep.add_argument("--from", dest="start_db", type=float, required=True,
                          metavar="DB", help="first Eb/N0 in dB")
     p_sweep.add_argument("--to", dest="stop_db", type=float, required=True,
@@ -297,7 +275,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

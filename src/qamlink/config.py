@@ -1,15 +1,17 @@
 """Flat ``key = value`` run-configuration files.
 
-Unknown keys, malformed lines, and bad values all raise ConfigError with the
-offending file and line number; a file either parses completely or not at all.
+Unknown keys, malformed lines, and bad or non-finite values all raise
+ConfigError with the offending file and line number; a file either parses
+completely or not at all.
 Missing keys fall back to the reference design shipped in ``paper.cfg``
 (1 Gbps, 256-QAM, 5 GHz, 23.31 dBm).
 """
 
 from __future__ import annotations
 
+import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .channel import ChannelSpec
 from .linkbudget import FCC_UNII_LIMIT_DBM, LinkScenario
@@ -118,35 +120,37 @@ class RunConfig:
             raise ConfigError(f"{self.source}: {exc}") from exc
 
 
-_FLOAT_KEYS = {
-    "bit_rate_bps", "target_ber", "ebn0_override_db", "rx_nf_override_db",
-    "tx_power_dbm", "frequency_hz", "distance_m", "tx_antenna_gain_db",
-    "rx_antenna_gain_db", "occupied_bandwidth_hz", "fcc_limit_dbm",
-    "gaussian_bt", "evm_threshold_pct",
-}
-_INT_KEYS = {"modulation_order", "samples_per_symbol", "n_bits", "seed"}
-_STR_KEYS = {"pulse_shape", "output_dir", "output_format"}
-
-_STAGE_FIELDS = ("name", "gain_db", "nf_db", "p1db_out_dbm")
 _CHAIN_KEY = re.compile(r"^(tx|rx)_chain\.(\d+)\.(\w+)$")
+_STAGE_FIELDS = tuple(f.name for f in fields(StageSpec))
 
 
-def _parse_float(raw: str, where: str) -> float:
+def _parse_float(raw: str, where: str, key: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"{where}: expected a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}: {key} must be finite, got {raw!r}")
+    return value
 
 
-def _parse_int(raw: str, where: str) -> int:
+def _parse_int(raw: str, where: str, key: str) -> int:
     try:
         return int(raw)
     except ValueError:
         pass
-    value = _parse_float(raw, where)
+    value = _parse_float(raw, where, key)
     if not value.is_integer():
         raise ConfigError(f"{where}: expected an integer, got {raw!r}")
     return int(value)
+
+
+# every RunConfig field but the source and the stage lists is a key; its
+# annotation picks the parser
+_PARSERS = {"float": _parse_float, "float | None": _parse_float, "int": _parse_int,
+            "str": lambda raw, where, key: raw}
+_KEYS = {f.name: _PARSERS[f.type] for f in fields(RunConfig)
+         if f.name not in ("source", "tx_stages", "rx_stages")}
 
 
 def parse_config_text(text: str, source: str = "<string>") -> RunConfig:
@@ -180,12 +184,8 @@ def parse_config_text(text: str, source: str = "<string>") -> RunConfig:
                     f"{where}: unknown stage field {fieldname!r}; "
                     f"expected one of {_STAGE_FIELDS}")
             chain_fields[side].setdefault(index, {})[fieldname] = (value, lineno)
-        elif key in _FLOAT_KEYS:
-            setattr(cfg, key, _parse_float(value, where))
-        elif key in _INT_KEYS:
-            setattr(cfg, key, _parse_int(value, where))
-        elif key in _STR_KEYS:
-            setattr(cfg, key, value)
+        elif key in _KEYS:
+            setattr(cfg, key, _KEYS[key](value, where, key))
         else:
             raise ConfigError(f"{where}: unknown key {key!r}")
 
@@ -203,17 +203,18 @@ def parse_config_text(text: str, source: str = "<string>") -> RunConfig:
             continue  # keep the default chain
         stages = []
         for index in sorted(per_index):
-            fields = per_index[index]
+            given = per_index[index]
             for required in ("gain_db", "nf_db"):
-                if required not in fields:
+                if required not in given:
                     raise ConfigError(
                         f"{source}: {side}_chain.{index} is missing {required}")
-            name = fields.get("name", (f"{side}_stage_{index}", 0))[0]
+            name = given.get("name", (f"{side}_stage_{index}", 0))[0]
             numbers = {}
             for key in _STAGE_FIELDS[1:]:
-                if key in fields:
-                    value, lineno = fields[key]
-                    numbers[key] = _parse_float(value, f"{source}:{lineno}")
+                if key in given:
+                    value, lineno = given[key]
+                    numbers[key] = _parse_float(value, f"{source}:{lineno}",
+                                                f"{side}_chain.{index}.{key}")
             try:
                 stages.append(StageSpec(name=name, **numbers))
             except ValueError as exc:

@@ -27,10 +27,10 @@ class LinkScenario:
     tx_power_dbm: PowerDbm
     channel: ChannelSpec
     rx_chain: ChainSpec
-    ebn0_override_db: float | None = None
-    rx_nf_override_db: float | None = None
-    occupied_bandwidth_hz: float | None = None  # defaults to null-to-null
-    fcc_limit_dbm: PowerDbm = FCC_UNII_LIMIT_DBM
+    ebn0_override_db: float | None
+    rx_nf_override_db: float | None
+    occupied_bandwidth_hz: float | None  # None: null-to-null
+    fcc_limit_dbm: PowerDbm
 
     def __post_init__(self):
         if self.bit_rate_bps <= 0.0:

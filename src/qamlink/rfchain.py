@@ -41,6 +41,8 @@ class StageSpec:
             raise ValueError(f"stage {self.name!r}: gain must be finite")
         if not math.isfinite(self.nf_db) or self.nf_db < 0.0:
             raise ValueError(f"stage {self.name!r}: noise figure must be >= 0 dB")
+        if self.p1db_out_dbm is not None and not math.isfinite(self.p1db_out_dbm):
+            raise ValueError(f"stage {self.name!r}: P1dB must be finite")
 
     @property
     def is_nonlinear(self) -> bool:

@@ -64,14 +64,14 @@ class SimConfig:
     scenario: LinkScenario
     tx_chain: ChainSpec
     n_bits: int
-    seed: int = 1
-    samples_per_symbol: int = 8
-    pulse_shape: str = "gaussian"
-    gaussian_bt: float = 0.5
-    noise_enabled: bool = True
-    pa_linear: bool = False
-    calibration_ebn0_db: float | None = None
-    evm_threshold_pct: float = 2.0
+    seed: int
+    samples_per_symbol: int
+    pulse_shape: str
+    gaussian_bt: float
+    noise_enabled: bool
+    pa_linear: bool
+    calibration_ebn0_db: float | None
+    evm_threshold_pct: float
 
     def __post_init__(self):
         n = self.scenario.bits_per_symbol
@@ -84,10 +84,14 @@ class SimConfig:
         if self.pulse_shape not in PULSE_SHAPES:
             raise ValueError(
                 f"unknown pulse shape {self.pulse_shape!r}; expected one of {PULSE_SHAPES}")
-        if self.gaussian_bt <= 0.0:
-            raise ValueError(f"gaussian_bt must be > 0, got {self.gaussian_bt}")
-        if self.evm_threshold_pct <= 0.0:
-            raise ValueError("evm_threshold_pct must be > 0")
+        for name in ("gaussian_bt", "evm_threshold_pct"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        if self.calibration_ebn0_db is not None and not math.isfinite(
+                self.calibration_ebn0_db):
+            raise ValueError(
+                f"calibration Eb/N0 must be finite, got {self.calibration_ebn0_db}")
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 from qamlink import cli
-from qamlink.cli import _calibration_sim
-from qamlink.config import RunConfig, default_rx_stages
+from qamlink.config import RunConfig, default_rx_stages, load_config
 from qamlink.modem import (
     SUPPORTED_ORDERS,
     build_constellation,
@@ -26,6 +25,7 @@ from qamlink.simulate import estimate_spectrum, run_link_sim, transmit_waveform
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 PAPER_CFG = REPO_ROOT / "paper.cfg"
+QPSK_CFG = REPO_ROOT / "qpsk.cfg"
 
 
 def record(criterion: int, ok: bool, detail: str) -> None:
@@ -39,6 +39,13 @@ def read_report(path):
         key, _, value = line.partition(":")
         values[key.strip()] = value.strip()
     return values
+
+
+def _calibration_sim(order, ebn0_db, n_bits, seed):
+    """The AWGN calibration setup of qpsk.cfg at QAM order `order`."""
+    cfg = load_config(str(QPSK_CFG))
+    cfg.modulation_order = order
+    return cfg.sim_config(n_bits=n_bits, seed=seed, calibration_ebn0_db=ebn0_db)
 
 
 def test_criterion_1_link_budget_reproduction(tmp_path):

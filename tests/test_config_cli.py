@@ -1,6 +1,7 @@
 import math
 import os
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -26,13 +27,9 @@ class TestConfigParsing:
     def test_paper_cfg_matches_built_in_defaults(self):
         cfg = load_config(str(PAPER_CFG))
         ref = RunConfig()
-        assert cfg.bit_rate_bps == ref.bit_rate_bps
-        assert cfg.modulation_order == ref.modulation_order
-        assert cfg.ebn0_override_db == ref.ebn0_override_db
-        assert cfg.rx_nf_override_db == ref.rx_nf_override_db
-        assert cfg.tx_power_dbm == ref.tx_power_dbm
-        assert cfg.tx_stages == ref.tx_stages
-        assert cfg.rx_stages == ref.rx_stages
+        for f in fields(RunConfig):
+            if f.name != "source":
+                assert getattr(cfg, f.name) == getattr(ref, f.name), f.name
 
     def test_unknown_key_reports_line(self):
         with pytest.raises(ConfigError, match=r"cfg:3: unknown key 'bogus'"):
@@ -113,6 +110,14 @@ class TestBudgetCommand:
         assert "sensitivity_dbm: -54.37" in text
         assert text.endswith("\n")
 
+    def test_out_of_range_power_exits_1_with_one_line(self, tmp_path, capsys):
+        """No range reaches the sensitivity; used to end in a traceback."""
+        code = cli.main(["budget", "--config", str(PAPER_CFG), "--tx-power", "-100",
+                         "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith("error: ")
+
     def test_noncompliant_power_exits_2_but_writes_report(self, tmp_path):
         code = cli.main(["budget", "--config", str(PAPER_CFG),
                          "--tx-power", "25", "--out", str(tmp_path)])
@@ -185,12 +190,15 @@ class TestSimulateCommand:
             assert code == 1
             assert "transmit power must be finite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("line", ["distance_m = nan", "frequency_hz = inf"])
+    @pytest.mark.parametrize("line", [
+        "distance_m = nan", "frequency_hz = inf", "tx_chain.3.p1db_out_dbm = nan",
+        "gaussian_bt = nan", "evm_threshold_pct = nan", "tx_power_dbm = nan"])
     def test_non_finite_channel_rejected_with_file_name(self, tmp_path, capsys, line):
-        """Used to give a budget with nan power (distance) or a traceback
-        (frequency); now both exit 1 with one line naming the file."""
+        """Used to give a nan budget or BER 0.50 with exit 0, or a traceback;
+        now every command exits 1 with one line naming the file and line."""
         key = line.split()[0]
-        text, n = re.subn(rf"^{key} = .*$", line, PAPER_CFG.read_text(), flags=re.M)
+        text, n = re.subn(rf"^{re.escape(key)} = .*$", line, PAPER_CFG.read_text(),
+                          flags=re.M)
         assert n == 1
         path = tmp_path / "bad.cfg"
         path.write_text(text)
@@ -199,7 +207,16 @@ class TestSimulateCommand:
             err = capsys.readouterr().err
             assert code == 1
             assert err.count("\n") == 1
-            assert str(path) in err and f"{key} must be finite" in err
+            assert re.search(rf"{re.escape(str(path))}:\d+: {re.escape(key)} must be "
+                             "finite", err)
+
+    def test_non_finite_ebn0_rejected(self, tmp_path, capsys):
+        """Used to exit 0 with BER 0.50."""
+        code = cli.main(["simulate", "--config", str(QPSK_CFG), "--ebn0", "nan",
+                         "--bits", "8000", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1 and "Eb/N0 must be finite" in err
 
     def test_output_files_use_dot_decimal_and_trailing_newline(self, tmp_path):
         cli.main(["simulate", "--config", str(QPSK_CFG), "--bits", "10000",
@@ -234,7 +251,7 @@ class TestBerSweepCommand:
 
     def test_measured_sweep_within_confidence(self, tmp_path):
         from qamlink.modem import theoretical_ber
-        code = cli.main(["ber-sweep", "--modulation", "4",
+        code = cli.main(["ber-sweep", "--config", str(QPSK_CFG), "--modulation", "4",
                          "--from", "4", "--to", "6", "--step", "1",
                          "--bits", "400000", "--seed", "2",
                          "--out", str(tmp_path)])
@@ -250,8 +267,43 @@ class TestBerSweepCommand:
                          "--step", "0", "--theory-only", "--out", str(tmp_path)])
         assert code == 1
 
+    def test_sweep_point_runs_the_configured_link(self, tmp_path):
+        """Point i of the sweep is `simulate --ebn0` on the same config at
+        seed + i; it used to run a hidden QPSK-style calibration setup."""
+        code = cli.main(["ber-sweep", "--config", str(PAPER_CFG), "--from", "12",
+                         "--to", "14", "--step", "2", "--bits", "80000",
+                         "--seed", "5", "--out", str(tmp_path / "sweep")])
+        assert code == 0
+        rows = (tmp_path / "sweep" / "waterfall.csv").read_text().splitlines()[1:]
+        for i, row in enumerate(rows):
+            ebn0, _, measured, _, _ = row.split(",")
+            code = cli.main(["simulate", "--config", str(PAPER_CFG), "--ebn0", ebn0,
+                             "--bits", "80000", "--seed", str(5 + i),
+                             "--out", str(tmp_path / ebn0)])
+            assert code == 0
+            report = read_report(tmp_path / ebn0 / "sim_report.txt")
+            assert int(report["n_bit_errors"]) > 0
+            assert round(float(measured) * 80000) == int(report["n_bit_errors"])
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--to", "nan"), ("--from", "-inf"), ("--step", "inf")])
+    def test_non_finite_range_rejected(self, tmp_path, capsys, flag, value):
+        """`--to nan` used to end in a traceback."""
+        argv = {"--from": "0", "--to": "2", "--step": "1", flag: value}
+        code = cli.main(["ber-sweep", "--theory-only", "--out", str(tmp_path),
+                         *(f"{key}={val}" for key, val in argv.items())])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1 and f"{flag} must be finite" in err
+
+    def test_unsupported_modulation_rejected(self, tmp_path, capsys):
+        code = cli.main(["ber-sweep", "--modulation", "8", "--from", "0", "--to", "1",
+                         "--theory-only", "--out", str(tmp_path)])
+        assert code == 1
+        assert "--modulation" in capsys.readouterr().err
+
     def test_tx_power_rejected(self, tmp_path, capsys):
-        # measured points run a fixed 0 dBm calibration setup
+        # each point sets Eb/N0 itself; the PA drive is the config's tx_power_dbm
         code = cli.main(["ber-sweep", "--config", str(QPSK_CFG), "--from", "0",
                          "--to", "1", "--theory-only", "--tx-power", "5",
                          "--out", str(tmp_path)])

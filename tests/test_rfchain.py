@@ -40,6 +40,11 @@ class TestStageSpec:
         with pytest.raises(ValueError):
             StageSpec("bad", gain_db=10.0, nf_db=-0.1)
 
+    @pytest.mark.parametrize("p1db", [math.nan, math.inf])
+    def test_rejects_non_finite_p1db(self, p1db):
+        with pytest.raises(ValueError, match="P1dB must be finite"):
+            StageSpec("bad", gain_db=10.0, nf_db=1.0, p1db_out_dbm=p1db)
+
     def test_passive_helper_sets_nf_to_loss(self):
         stage = StageSpec.passive("filter", loss_db=3.0)
         assert stage.gain_db == -3.0

@@ -13,7 +13,6 @@ from qamlink.channel import complex_noise, noise_generator
 from qamlink.config import RunConfig
 from qamlink.modem import theoretical_ber
 from qamlink.simulate import (
-    SimConfig,
     estimate_spectrum,
     gaussian_taps,
     psd_segments,
@@ -168,13 +167,22 @@ class TestSimConfigValidation:
         with pytest.raises(ValueError):
             cfg.sim_config()
 
+    @pytest.mark.parametrize("name", ["gaussian_bt", "evm_threshold_pct"])
+    def test_non_finite_values_rejected(self, name):
+        cfg = RunConfig()
+        setattr(cfg, name, math.nan)
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            cfg.sim_config()
+
+    def test_non_finite_calibration_ebn0_rejected(self):
+        with pytest.raises(ValueError, match="Eb/N0 must be finite"):
+            RunConfig().sim_config(calibration_ebn0_db=math.nan)
+
     def test_unknown_pulse_shape(self):
-        scenario = RunConfig().scenario()
-        from qamlink.rfchain import ChainSpec, StageSpec
+        cfg = RunConfig()
+        cfg.pulse_shape = "triangular"
         with pytest.raises(ValueError):
-            SimConfig(scenario=scenario,
-                      tx_chain=ChainSpec((StageSpec("u", 0.0, 0.0),)),
-                      n_bits=800, pulse_shape="triangular")
+            cfg.sim_config()
 
 
 class TestRunLinkSim:
