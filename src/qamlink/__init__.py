@@ -1,67 +1,4 @@
 """qamlink: link-budget analysis and complex-baseband Monte-Carlo simulation
 of a 1 Gbps / 256-QAM / 5 GHz wireless link."""
 
-from .channel import (
-    ChannelSpec,
-    add_awgn,
-    friis_received_power,
-    noise_floor,
-    noise_generator,
-    path_gain_db,
-)
-from .config import ConfigError, RunConfig, load_config, parse_config_text
-from .linkbudget import (
-    FCC_UNII_LIMIT_DBM,
-    LinkBudgetReport,
-    LinkScenario,
-    analyze,
-    fcc_check,
-    max_distance,
-    required_snr,
-    sensitivity,
-)
-from .modem import (
-    SUPPORTED_ORDERS,
-    BandwidthPlan,
-    ConstellationMap,
-    bandwidth_plan,
-    build_constellation,
-    demap_hard,
-    ebn0_for_ber,
-    evm_rms,
-    map_bits,
-    theoretical_ber,
-)
-from .rfchain import (
-    CascadeResult,
-    ChainSpec,
-    StageSpec,
-    amplifier_transfer,
-    cascade,
-    chain_transfer,
-    im3_delta,
-    oip3_from_p1db,
-    stage_noise_power,
-)
-from .simulate import (
-    SimConfig,
-    SimResult,
-    estimate_spectrum,
-    gaussian_taps,
-    pulse_shape,
-    run_link_sim,
-    transmit_waveform,
-    welch_psd,
-    wilson_interval,
-)
-from .units import (
-    SPEED_OF_LIGHT_M_S,
-    THERMAL_NOISE_DBM_PER_HZ,
-    db_to_linear,
-    dbm_to_watts,
-    linear_to_db,
-    watts_to_dbm,
-    wavelength,
-)
-
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Free-space propagation, thermal noise floor, and reproducible AWGN."""
+"""Free-space propagation, thermal noise floor, and counter-based noise streams."""
 
 from __future__ import annotations
 
@@ -34,9 +34,9 @@ class ChannelSpec:
             raise ValueError(f"distance must be > 0 m, got {self.distance_m}")
 
 
-def path_gain_db(spec: ChannelSpec, distance_m: float | None = None) -> GainDb:
+def path_gain_db(spec: ChannelSpec) -> GainDb:
     """Antenna gains plus free-space spreading, 20*log10(lambda / (4 pi d))."""
-    d = spec.distance_m if distance_m is None else distance_m
+    d = spec.distance_m
     lam = wavelength(spec.frequency_hz)
     if d < NEAR_FIELD_WAVELENGTHS * lam:
         warnings.warn(
@@ -59,7 +59,7 @@ def noise_floor(bandwidth_hz: float, nf_db: float) -> PowerDbm:
     return THERMAL_NOISE_DBM_PER_HZ + 10.0 * math.log10(bandwidth_hz) + nf_db
 
 
-def noise_generator(seed: int, stream: int = 0) -> np.random.Generator:
+def noise_generator(seed: int, stream: int) -> np.random.Generator:
     """Counter-based RNG; distinct (seed, stream) pairs give non-overlapping,
     reproducible sequences, so parallel blocks can draw independently."""
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, stream & 0xFFFFFFFFFFFFFFFF],
@@ -77,21 +77,3 @@ def complex_noise(rng: np.random.Generator, shape, variance_watts: float) -> np.
     noise = rng.standard_normal((*shape, 2)).view(np.complex128).reshape(shape)
     noise *= math.sqrt(variance_watts / 2.0)
     return noise
-
-
-def add_awgn(samples, signal_power_watts: float, snr_db: float, seed: int,
-             stream: int = 0) -> np.ndarray:
-    """Add complex AWGN with total variance signal_power / 10^(snr/10).
-
-    The noise splits equally across real and imaginary parts. An infinite
-    snr_db disables the noise entirely. Output is bit-identical for a fixed
-    (seed, stream) pair.
-    """
-    samples = np.asarray(samples, dtype=np.complex128)
-    if signal_power_watts <= 0.0:
-        raise ValueError(f"signal power must be > 0 W, got {signal_power_watts}")
-    if math.isinf(snr_db) and snr_db > 0:
-        return samples.copy()
-    variance = signal_power_watts / 10.0 ** (snr_db / 10.0)
-    return samples + complex_noise(noise_generator(seed, stream), samples.shape,
-                                   variance)

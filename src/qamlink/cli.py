@@ -19,7 +19,6 @@ from .simulate import (
     SimConfig,
     SimResult,
     estimate_spectrum,
-    psd_segments,
     run_link_sim,
     transmit_waveform,
 )
@@ -46,6 +45,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write_lines(path: str, lines: list[str]) -> None:
+    os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         for line in lines:
             handle.write(line + "\n")
@@ -65,7 +65,6 @@ def _load(args) -> RunConfig:
         cfg.seed = args.seed
     if getattr(args, "bits", None) is not None:
         cfg.n_bits = args.bits
-    os.makedirs(cfg.output_dir, exist_ok=True)
     return cfg
 
 
@@ -102,7 +101,7 @@ def cmd_budget(args) -> int:
     return EXIT_OK if report.fcc_compliant else EXIT_NONCOMPLIANT
 
 
-def _sim_report_lines(cfg: RunConfig, config: SimConfig, result: SimResult) -> list[str]:
+def _sim_report_lines(config: SimConfig, result: SimResult) -> list[str]:
     ci_low, ci_high = result.ber_confidence
     target = config.scenario.target_ber
     meets = ci_high <= target
@@ -144,7 +143,7 @@ def cmd_simulate(args) -> int:
         pa_linear=args.linear_pa,
     )
     result = run_link_sim(config)
-    lines = _sim_report_lines(cfg, config, result)
+    lines = _sim_report_lines(config, result)
     if cfg.output_format != "csv":
         _write_lines(os.path.join(cfg.output_dir, SIM_REPORT_NAME), lines)
     if cfg.output_format != "text":
@@ -163,6 +162,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_ber_sweep(args) -> int:
+    if args.theory_only:
+        for flag, value in (("--bits", args.bits), ("--seed", args.seed)):
+            if value is not None:
+                raise ConfigError(f"{flag} has no effect with --theory-only")
     cfg = _load(args)
     if args.modulation is not None:
         cfg.modulation_order = args.modulation
@@ -177,7 +180,7 @@ def cmd_ber_sweep(args) -> int:
     n_points = math.floor((args.stop_db - args.start_db) / args.step + 1e-9) + 1
     ebn0_values = [args.start_db + i * args.step for i in range(n_points)]
     n = int(math.log2(cfg.modulation_order))
-    n_bits = max(n, cfg.n_bits - cfg.n_bits % n)
+    n_bits = cfg.n_bits - cfg.n_bits % n
 
     rows = []
     for i, ebn0 in enumerate(ebn0_values):
@@ -203,7 +206,7 @@ def cmd_spectrum(args) -> int:
         pa_linear=args.linear_pa,
     )
     wave, sample_rate = transmit_waveform(config)
-    psd = estimate_spectrum(wave, sample_rate, psd_segments(wave.size))
+    psd = estimate_spectrum(wave, sample_rate)
     _write_psd_csv(os.path.join(cfg.output_dir, PSD_CSV_NAME), psd)
     print(f"wrote {psd.shape[0]} PSD bins at {sample_rate:.0f} Hz sample rate "
           f"to {os.path.join(cfg.output_dir, PSD_CSV_NAME)}")

@@ -4,7 +4,9 @@ Unknown keys, malformed lines, and bad or non-finite values all raise
 ConfigError with the offending file and line number; a file either parses
 completely or not at all.
 Missing keys fall back to the reference design shipped in ``paper.cfg``
-(1 Gbps, 256-QAM, 5 GHz, 23.31 dBm).
+(1 Gbps, 256-QAM, 5 GHz, 23.31 dBm). The optional keys (the two
+published-figure overrides and ``occupied_bandwidth_hz``) take ``none`` to
+select the derived value.
 """
 
 from __future__ import annotations
@@ -145,10 +147,14 @@ def _parse_int(raw: str, where: str, key: str) -> int:
     return int(value)
 
 
+def _parse_optional_float(raw: str, where: str, key: str) -> float | None:
+    return None if raw == "none" else _parse_float(raw, where, key)
+
+
 # every RunConfig field but the source and the stage lists is a key; its
 # annotation picks the parser
-_PARSERS = {"float": _parse_float, "float | None": _parse_float, "int": _parse_int,
-            "str": lambda raw, where, key: raw}
+_PARSERS = {"float": _parse_float, "float | None": _parse_optional_float,
+            "int": _parse_int, "str": lambda raw, where, key: raw}
 _KEYS = {f.name: _PARSERS[f.type] for f in fields(RunConfig)
          if f.name not in ("source", "tx_stages", "rx_stages")}
 

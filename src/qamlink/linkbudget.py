@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 
 from .channel import ChannelSpec, friis_received_power, noise_floor
-from .modem import SUPPORTED_ORDERS, bandwidth_plan, ebn0_for_ber
+from .modem import SUPPORTED_ORDERS, ebn0_for_ber
 from .rfchain import ChainSpec, cascade
 from .units import PowerDbm, db_to_linear, wavelength
 
@@ -50,7 +50,7 @@ class LinkScenario:
     def bandwidth_hz(self) -> float:
         if self.occupied_bandwidth_hz is not None:
             return self.occupied_bandwidth_hz
-        return bandwidth_plan(self.bit_rate_bps, self.modulation_order).null_to_null_hz
+        return 2.0 * self.symbol_rate_hz
 
     @property
     def bits_per_symbol(self) -> int:

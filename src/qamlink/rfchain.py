@@ -15,7 +15,6 @@ from .units import (
     THERMAL_NOISE_DBM_PER_HZ,
     db_to_linear,
     dbm_to_watts,
-    watts_to_dbm,
 )
 
 # Fractional gain drop at the 1 dB compression point: 1 - 10^(-1/20).
@@ -110,19 +109,6 @@ def oip3_from_p1db(p1db_out_dbm: PowerDbm) -> PowerDbm:
     return p1db_out_dbm + OIP3_OVER_P1DB_DB
 
 
-def im3_delta(p_out_dbm: PowerDbm, oip3_dbm: PowerDbm) -> float:
-    """dB gap between a fundamental tone and its third-order intermod product.
-
-    Standard two-tone relation: delta = 2 * (OIP3 - P_out), valid only below
-    the intercept point.
-    """
-    if p_out_dbm > oip3_dbm:
-        raise ValueError(
-            f"per-tone power {p_out_dbm} dBm is above the {oip3_dbm} dBm intercept; "
-            "the extrapolation is not meaningful there")
-    return 2.0 * (oip3_dbm - p_out_dbm)
-
-
 def _polynomial_coefficients(spec: StageSpec) -> tuple[float, float]:
     """(a1, a3) of y = a1*x - a3*|x|^2*x.
 
@@ -156,18 +142,6 @@ def amplifier_transfer(x, spec: StageSpec):
         clipped = env * shrink
         y = (a1 - a3 * clipped * clipped) * shrink * x
     return complex(y) if y.ndim == 0 else y
-
-
-def stage_noise_power(spec: StageSpec, bandwidth_hz: float,
-                      input_noise_dbm: PowerDbm) -> PowerDbm:
-    """Noise power at the stage output: amplified input noise plus the
-    stage's own added noise kTB(F-1)G."""
-    if bandwidth_hz <= 0.0:
-        raise ValueError(f"bandwidth must be > 0, got {bandwidth_hz}")
-    gain = db_to_linear(spec.gain_db)
-    out_w = dbm_to_watts(input_noise_dbm) * gain + stage_added_noise_watts(
-        spec, bandwidth_hz)
-    return watts_to_dbm(out_w)
 
 
 def stage_added_noise_watts(spec: StageSpec, bandwidth_hz: float) -> float:

@@ -113,11 +113,10 @@ class SimResult:
     @cached_property
     def psd(self) -> np.ndarray:
         """(n, 2): frequency_hz, power_db rel peak; estimated on first access."""
-        return estimate_spectrum(self.tx_waveform, self.sample_rate_hz,
-                                 psd_segments(self.tx_waveform.size))
+        return estimate_spectrum(self.tx_waveform, self.sample_rate_hz)
 
 
-def wilson_interval(errors: int, trials: int, z: float = Z_95) -> tuple[float, float]:
+def wilson_interval(errors: int, trials: int) -> tuple[float, float]:
     """Wilson score interval for an observed error proportion.
 
     With zero observed errors the upper bound stays meaningfully above zero,
@@ -128,10 +127,10 @@ def wilson_interval(errors: int, trials: int, z: float = Z_95) -> tuple[float, f
     if not 0 <= errors <= trials:
         raise ValueError("errors must lie in [0, trials]")
     p = errors / trials
-    z2 = z * z
+    z2 = Z_95 * Z_95
     denom = 1.0 + z2 / trials
     center = p + z2 / (2.0 * trials)
-    half = z * math.sqrt(p * (1.0 - p) / trials + z2 / (4.0 * trials * trials))
+    half = Z_95 * math.sqrt(p * (1.0 - p) / trials + z2 / (4.0 * trials * trials))
     low = 0.0 if errors == 0 else max(0.0, (center - half) / denom)
     high = 1.0 if errors == trials else min(1.0, (center + half) / denom)
     return (low, high)
@@ -196,25 +195,16 @@ def welch_psd(samples, sample_rate_hz: float, segment_len: int):
     return np.fft.fftshift(freqs), np.fft.fftshift(density)
 
 
-def psd_segments(n_samples: int) -> int:
-    """Welch segment count for an n-sample waveform: 512-sample segments,
-    at least three."""
-    return max(3, 2 * n_samples // _PSD_SEGMENT_SAMPLES - 1)
-
-
-def estimate_spectrum(samples, sample_rate_hz: float, n_segments: int) -> np.ndarray:
+def estimate_spectrum(samples, sample_rate_hz: float) -> np.ndarray:
     """PSD estimate as (frequency_hz, power_db) pairs, dB relative to the peak.
 
-    The segment length is the largest power of two that fits n_segments
-    half-overlapping segments into the input.
+    Segments are 512 samples long, or for inputs shorter than 1024 samples
+    the largest power of two that fits two segments into the input.
     """
     samples = np.asarray(samples)
-    if n_segments < 1:
-        raise ValueError(f"n_segments must be >= 1, got {n_segments}")
     if samples.size < 4:
         raise ValueError(f"input too short for a spectrum estimate: {samples.size}")
-    segment_len = 1 << int(math.floor(math.log2(2 * samples.size / (n_segments + 1))))
-    segment_len = max(segment_len, 2)
+    segment_len = min(_PSD_SEGMENT_SAMPLES, 1 << int(math.log2(samples.size / 2)))
     freqs, density = welch_psd(samples, sample_rate_hz, segment_len)
     peak = density.max()
     if peak <= 0.0:
@@ -459,20 +449,20 @@ def run_link_sim(config: SimConfig) -> SimResult:
     )
 
 
-def transmit_waveform(config: SimConfig, max_samples: int = _PSD_TARGET_SAMPLES
-                      ) -> tuple[np.ndarray, float]:
+def transmit_waveform(config: SimConfig) -> tuple[np.ndarray, float]:
     """Steady-state transmitted waveform (TX side only) and its sample rate.
 
     Uses the same blocks and per-block RNG streams as run_link_sim, so the
-    waveform is the one the full simulation would transmit. Only the blocks
-    needed for max_samples run, one after another.
+    waveform is the one the full simulation would transmit, up to the same
+    1 M-sample spectrum window. Only the blocks needed for that window run,
+    one after another.
     """
     ctx = _build_context(config)
-    wanted = min(max_samples, ctx.n_symbols * ctx.sps)
+    wanted = ctx.psd_samples
     n_needed = math.ceil(wanted / (_SYMBOLS_PER_BLOCK * ctx.sps))
     pieces = []
     for block, n_sym in enumerate(_block_sizes(ctx.n_symbols)[:n_needed]):
         _, _, wave = _tx_block(config, ctx, block, n_sym)
         pieces.append(wave[ctx.guard_symbols * ctx.sps:(ctx.guard_symbols + n_sym) * ctx.sps])
-    wave = np.concatenate(pieces)[:max_samples]
+    wave = np.concatenate(pieces)[:wanted]
     return wave, ctx.sample_rate_hz

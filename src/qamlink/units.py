@@ -22,13 +22,6 @@ def db_to_linear(x_db: GainDb) -> float:
     return 10.0 ** (x_db / 10.0)
 
 
-def linear_to_db(ratio: float) -> GainDb:
-    """Linear power ratio to dB."""
-    if ratio <= 0.0:
-        raise ValueError(f"ratio must be > 0, got {ratio}")
-    return 10.0 * math.log10(ratio)
-
-
 def dbm_to_watts(p_dbm: PowerDbm) -> float:
     return 10.0 ** ((p_dbm - 30.0) / 10.0)
 

@@ -145,7 +145,7 @@ def test_criterion_6_spectrum_nulls():
     cfg.pulse_shape = "rectangular"
     cfg.n_bits = 1_048_576
     wave, fs = transmit_waveform(cfg.sim_config())
-    psd = estimate_spectrum(wave, fs, max(3, 2 * wave.size // 512 - 1))
+    psd = estimate_spectrum(wave, fs)
     freqs, power = psd[:, 0], psd[:, 1]
     bin_width = freqs[1] - freqs[0]
     details = []

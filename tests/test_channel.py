@@ -6,7 +6,7 @@ import pytest
 
 from qamlink.channel import (
     ChannelSpec,
-    add_awgn,
+    complex_noise,
     friis_received_power,
     noise_floor,
     noise_generator,
@@ -91,43 +91,32 @@ class TestNoiseFloor:
 
 
 class TestAwgn:
-    def test_infinite_snr_is_identity(self):
-        x = np.array([1 + 1j, -2 + 0.5j])
-        out = add_awgn(x, 1.0, math.inf, seed=1)
-        np.testing.assert_array_equal(out, x)
-
     def test_noise_power_calibration(self):
-        """1e6 unit-power symbols at 10 dB SNR carry 0.1 W of noise."""
-        x = np.ones(1_000_000, dtype=np.complex128)
-        out = add_awgn(x, 1.0, 10.0, seed=2)
-        noise = out - x
+        """1e6 samples of 0.1 W noise (unit-power symbols at 10 dB SNR)."""
+        noise = complex_noise(noise_generator(2, 0), 1_000_000, 0.1)
         assert np.mean(np.abs(noise) ** 2) == pytest.approx(0.1, abs=0.001)
 
     def test_same_seed_bit_identical(self):
-        x = np.ones(4096, dtype=np.complex128)
-        a = add_awgn(x, 1.0, 5.0, seed=7)
-        b = add_awgn(x, 1.0, 5.0, seed=7)
+        var = 10.0 ** (-5.0 / 10.0)
+        a = complex_noise(noise_generator(7, 0), 4096, var)
+        b = complex_noise(noise_generator(7, 0), 4096, var)
         np.testing.assert_array_equal(a, b)
-        c = add_awgn(x, 1.0, 5.0, seed=7, stream=1)
+        c = complex_noise(noise_generator(7, 1), 4096, var)
         assert not np.array_equal(a, c)
 
     def test_zero_mean(self):
         n = 1_000_000
-        out = add_awgn(np.zeros(n, dtype=np.complex128), 1.0, 0.0, seed=3)
+        out = complex_noise(noise_generator(3, 0), n, 1.0)
         sigma = math.sqrt(1.0 / 2.0)
         assert abs(np.mean(out.real)) < 4 * sigma / math.sqrt(n)
         assert abs(np.mean(out.imag)) < 4 * sigma / math.sqrt(n)
 
     def test_real_imag_variance_balance(self):
         n = 1_000_000
-        out = add_awgn(np.zeros(n, dtype=np.complex128), 1.0, 0.0, seed=4)
+        out = complex_noise(noise_generator(4, 0), n, 1.0)
         v_re = np.var(out.real)
         v_im = np.var(out.imag)
         assert v_re / v_im == pytest.approx(1.0, rel=0.01)
-
-    def test_rejects_nonpositive_signal_power(self):
-        with pytest.raises(ValueError):
-            add_awgn(np.ones(4, dtype=np.complex128), 0.0, 10.0, seed=1)
 
 
 class TestNoiseGenerator:

@@ -54,8 +54,18 @@ class TestConfigParsing:
             parse_config_text("seed = 1\nseed = 2\n", source="cfg")
 
     def test_bad_number_reports_line(self):
-        with pytest.raises(ConfigError, match=r"cfg:1: expected a number"):
-            parse_config_text("tx_power_dbm = loud\n", source="cfg")
+        # `none` is a value only for the optional keys
+        for raw in ("loud", "none"):
+            with pytest.raises(ConfigError, match=r"cfg:1: expected a number"):
+                parse_config_text(f"tx_power_dbm = {raw}\n", source="cfg")
+
+    def test_none_selects_the_derived_value(self):
+        text = ("ebn0_override_db = none\nrx_nf_override_db = none\n"
+                "occupied_bandwidth_hz = none\n")
+        cfg = parse_config_text(text, source="cfg")
+        assert cfg.ebn0_override_db is None
+        assert cfg.rx_nf_override_db is None
+        assert cfg.occupied_bandwidth_hz is None
 
     def test_integer_keys_accept_scientific_notation(self):
         cfg = parse_config_text("n_bits = 1e6\n", source="cfg")
@@ -131,6 +141,16 @@ class TestBudgetCommand:
         assert code == 1
         assert not (tmp_path / "out" / "budget_report.txt").exists()
         assert "nope.cfg" in capsys.readouterr().err
+
+    def test_qpsk_budget_uses_the_formula_path(self, tmp_path):
+        """qpsk.cfg sets both overrides to none: Eb/N0 from the BER curve
+        inversion, NF from the ideal cascade."""
+        from qamlink.modem import ebn0_for_ber
+        code = cli.main(["budget", "--config", str(QPSK_CFG), "--out", str(tmp_path)])
+        assert code == 0
+        report = read_report(tmp_path / "budget_report.txt")
+        assert report["required_ebn0_db"] == f"{ebn0_for_ber(4, 1e-5):.4f}" == "9.5868"
+        assert report["rx_noise_figure_db"] == "0.0000"
 
     def test_config_error_reports_line_number(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -302,6 +322,22 @@ class TestBerSweepCommand:
         assert code == 1
         assert "--modulation" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value", [("--bits", "3"), ("--seed", "9")])
+    def test_theory_only_rejects_simulation_flags(self, tmp_path, capsys, flag, value):
+        code = cli.main(["ber-sweep", "--theory-only", "--from", "0", "--to", "1",
+                         flag, value, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1 and flag in err
+
+    def test_negative_bits_rejected(self, tmp_path, capsys):
+        """`--bits -100` used to run 2 bits per point; `simulate` rejects it."""
+        code = cli.main(["ber-sweep", "--config", str(QPSK_CFG), "--from", "0",
+                         "--to", "0", "--bits", "-100", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1 and "n_bits must be a positive multiple" in err
+
     def test_tx_power_rejected(self, tmp_path, capsys):
         # each point sets Eb/N0 itself; the PA drive is the config's tx_power_dbm
         code = cli.main(["ber-sweep", "--config", str(QPSK_CFG), "--from", "0",
@@ -327,3 +363,11 @@ class TestUsage:
 
     def test_missing_required_flag_exits_1(self, capsys):
         assert cli.main(["ber-sweep", "--theory-only"]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["ber-sweep", "--from", "0", "--to", "nan"],
+        ["simulate", "--bits", "0"]])
+    def test_rejected_command_leaves_no_output_directory(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert cli.main([*argv, "--out", str(out)]) == 1
+        assert not out.exists()

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qamlink.config import RunConfig
 from qamlink.modem import (
     SUPPORTED_ORDERS,
-    bandwidth_plan,
     build_constellation,
     demap_hard,
     ebn0_for_ber,
-    evm_rms,
+    evm_error_energy,
     map_bits,
     theoretical_ber,
 )
@@ -134,27 +134,27 @@ class TestMapping:
 
 class TestBandwidthPlan:
     def test_paper_rates(self):
-        plan = bandwidth_plan(1e9, 256)
-        assert plan.symbol_rate_hz == pytest.approx(125e6)
-        assert plan.null_to_null_hz == pytest.approx(250e6)
-        assert bandwidth_plan(1e9, 4).null_to_null_hz == pytest.approx(1000e6)
+        scenario = RunConfig().scenario()
+        assert scenario.symbol_rate_hz == pytest.approx(125e6)
+        assert scenario.bandwidth_hz == pytest.approx(250e6)
+        assert RunConfig(modulation_order=4).scenario().bandwidth_hz == pytest.approx(1000e6)
 
     def test_tiny_rate(self):
-        plan = bandwidth_plan(2.0, 4)
-        assert plan.symbol_rate_hz == 1.0
-        assert plan.null_to_null_hz == 2.0
+        scenario = RunConfig(bit_rate_bps=2.0, modulation_order=4).scenario()
+        assert scenario.symbol_rate_hz == 1.0
+        assert scenario.bandwidth_hz == 2.0
 
     def test_identities(self):
         for order in SUPPORTED_ORDERS:
-            plan = bandwidth_plan(3e8, order)
-            assert plan.null_to_null_hz == 2.0 * plan.symbol_rate_hz
-            assert plan.symbol_rate_hz * plan.bits_per_symbol == plan.bit_rate_bps
+            scenario = RunConfig(bit_rate_bps=3e8, modulation_order=order).scenario()
+            assert scenario.bandwidth_hz == 2.0 * scenario.symbol_rate_hz
+            assert scenario.symbol_rate_hz * scenario.bits_per_symbol == scenario.bit_rate_bps
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
-            bandwidth_plan(0.0, 4)
+            RunConfig(bit_rate_bps=0.0, modulation_order=4).scenario()
         with pytest.raises(ValueError):
-            bandwidth_plan(1e9, 5)
+            RunConfig(modulation_order=5).scenario()
 
 
 class TestTheoreticalBer:
@@ -221,11 +221,11 @@ class TestEbn0ForBer:
 class TestEvm:
     def test_identical_sequences(self):
         ref = np.array([1 + 1j, -1 + 1j, 0.5 - 0.25j])
-        assert evm_rms(ref, ref) == pytest.approx(0.0, abs=1e-12)
+        assert evm_error_energy(ref, ref) == pytest.approx(0.0, abs=1e-12)
 
     def test_pure_gain_is_not_error(self):
         ref = np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j])
-        assert evm_rms(ref, 2.0 * ref) == pytest.approx(0.0, abs=1e-9)
+        assert evm_error_energy(2.0 * ref, ref) == pytest.approx(0.0, abs=1e-9)
 
     def test_fixed_offset_four_symbols(self):
         """Offset orthogonal to the reference on average: closed-form value
@@ -234,11 +234,11 @@ class TestEvm:
         meas = [r + 0.05 for r in ref]
         scale = sum(m.conjugate() * r for m, r in zip(meas, ref)) / sum(
             abs(m) ** 2 for m in meas)
-        err = sum(abs(scale * m - r) ** 2 for m, r in zip(meas, ref)) / 4
-        expected = 100.0 * math.sqrt(err / 1.0)
-        got = evm_rms(ref, meas)
-        assert got == pytest.approx(expected, abs=1e-9)
-        assert got == pytest.approx(5.0, abs=0.1)
+        expected = sum(abs(scale * m - r) ** 2 for m, r in zip(meas, ref))
+        got = evm_error_energy(np.array(meas), np.array(ref))
+        assert got == pytest.approx(expected, abs=1e-12)
+        # unit-energy reference: 4 symbols carry 4 units, so EVM = 5%
+        assert 100.0 * math.sqrt(got / 4.0) == pytest.approx(5.0, abs=0.1)
 
     @settings(max_examples=50, deadline=None)
     @given(st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3,
@@ -247,13 +247,9 @@ class TestEvm:
         rng = np.random.default_rng(17)
         ref = rng.standard_normal(64) + 1j * rng.standard_normal(64)
         meas = ref + 0.1 * (rng.standard_normal(64) + 1j * rng.standard_normal(64))
-        base = evm_rms(ref, meas)
-        assert evm_rms(ref, scale * meas) == pytest.approx(base, rel=1e-6)
+        base = evm_error_energy(meas, ref)
+        assert evm_error_energy(scale * meas, ref) == pytest.approx(base, rel=1e-6)
 
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            evm_rms([1 + 0j], [1 + 0j, 2 + 0j])
-        with pytest.raises(ValueError):
-            evm_rms([0j, 0j], [1 + 0j, 1 + 0j])
-        with pytest.raises(ValueError):
-            evm_rms([], [])
+    def test_silent_measurement_is_all_error(self):
+        ref = np.array([1 + 1j, -1 + 1j])
+        assert evm_error_energy(np.zeros(2, dtype=complex), ref) == pytest.approx(4.0)

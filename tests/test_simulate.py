@@ -15,7 +15,6 @@ from qamlink.modem import theoretical_ber
 from qamlink.simulate import (
     estimate_spectrum,
     gaussian_taps,
-    psd_segments,
     pulse_shape,
     run_link_sim,
     transmit_waveform,
@@ -107,23 +106,27 @@ class TestSpectrumEstimate:
     def test_single_tone_peak_location(self):
         fs = 1e9
         t = np.arange(1 << 16)
-        psd = estimate_spectrum(np.exp(2j * np.pi * 0.123 * t), fs, 64)
-        bin_width = psd[1, 0] - psd[0, 0]
-        peak_freq = psd[np.argmax(psd[:, 1]), 0]
+        freqs, density = welch_psd(np.exp(2j * np.pi * 0.123 * t), fs, 1024)
+        bin_width = freqs[1] - freqs[0]
+        peak_freq = freqs[np.argmax(density)]
         assert abs(peak_freq - 0.123 * fs) <= bin_width
 
     def test_white_noise_is_flat(self):
         """64 half-overlapping segments keep every bin within 1.5 dB of the
         mean level for this frozen draw."""
         x = complex_noise(noise_generator(2, 0), (65 * 64) // 2, 1.0)
-        psd = estimate_spectrum(x, 1.0, 64)
-        db = psd[:, 1]
+        _, density = welch_psd(x, 1.0, 64)
+        db = 10.0 * np.log10(density)
         assert np.abs(db - db.mean()).max() <= 1.5
 
     def test_frequencies_span_sampling_band(self):
         x = complex_noise(noise_generator(0, 0), 4096, 1.0)
         fs = 8e6
-        psd = estimate_spectrum(x, fs, 15)
+        psd = estimate_spectrum(x, fs)
+        # 512-sample segments; below 1024 samples, the largest power of two
+        # that fits twice
+        assert psd.shape[0] == 512
+        assert estimate_spectrum(x[:100], fs).shape[0] == 32
         assert psd[0, 0] == pytest.approx(-fs / 2, rel=1e-9)
         assert psd[-1, 0] < fs / 2
         assert np.max(psd[:, 1]) == pytest.approx(0.0, abs=1e-12)
@@ -151,7 +154,7 @@ class TestSpectrumEstimate:
         with pytest.raises(ValueError):
             welch_psd(np.ones(100, dtype=complex), 1.0, 512)
         with pytest.raises(ValueError):
-            estimate_spectrum(np.ones(2, dtype=complex), 1.0, 1)
+            estimate_spectrum(np.ones(2, dtype=complex), 1.0)
 
 
 class TestSimConfigValidation:
@@ -277,16 +280,16 @@ class TestRunLinkSim:
         assert calls == []
         psd = result.psd
         assert result.psd is psd and len(calls) == 1
-        expected = real(result.tx_waveform, result.sample_rate_hz,
-                        psd_segments(result.tx_waveform.size))
+        expected = real(result.tx_waveform, result.sample_rate_hz)
         np.testing.assert_array_equal(psd, expected)
 
     def test_transmit_waveform_matches_sim_prefix(self):
         cfg = RunConfig()
         cfg.n_bits = 80_000
-        wave, fs = transmit_waveform(cfg.sim_config(), max_samples=4096)
-        assert wave.size == 4096
+        wave, fs = transmit_waveform(cfg.sim_config())
+        assert wave.size == 80_000
         assert fs == 8 * 125e6
+        np.testing.assert_array_equal(wave, run_link_sim(cfg.sim_config()).tx_waveform)
 
 
 def test_worker_count_never_exceeds_cpus_or_jobs(monkeypatch):
