@@ -13,7 +13,7 @@ import os
 import sys
 
 from .config import ConfigError, RunConfig, load_config
-from .linkbudget import LinkBudgetReport, analyze
+from .linkbudget import FCC_UNII_LIMIT_DBM, LinkBudgetReport, analyze
 from .modem import SUPPORTED_ORDERS, theoretical_ber
 from .simulate import (
     SimConfig,
@@ -85,7 +85,7 @@ def _budget_lines(report: LinkBudgetReport) -> list[str]:
         f"distance_m: {report.distance_m:.4f}",
         f"max_distance_m: {report.max_distance_m:.4f}",
         f"max_distance_at_sensitivity_m: {report.max_distance_at_sensitivity_m:.4f}",
-        f"fcc_limit_dbm: {report.fcc_limit_dbm:.4f}",
+        f"fcc_limit_dbm: {FCC_UNII_LIMIT_DBM:.4f}",
         "fcc_limit_rounded_dbm: 24",
         f"fcc_compliant: {'true' if report.fcc_compliant else 'false'}",
     ]
@@ -95,8 +95,7 @@ def cmd_budget(args) -> int:
     cfg = _load(args)
     report = analyze(cfg.scenario())
     lines = _budget_lines(report)
-    if cfg.output_format != "csv":
-        _write_lines(os.path.join(cfg.output_dir, BUDGET_REPORT_NAME), lines)
+    _write_lines(os.path.join(cfg.output_dir, BUDGET_REPORT_NAME), lines)
     print("\n".join(lines))
     return EXIT_OK if report.fcc_compliant else EXIT_NONCOMPLIANT
 
@@ -144,16 +143,13 @@ def cmd_simulate(args) -> int:
     )
     result = run_link_sim(config)
     lines = _sim_report_lines(config, result)
-    if cfg.output_format != "csv":
-        _write_lines(os.path.join(cfg.output_dir, SIM_REPORT_NAME), lines)
-    if cfg.output_format != "text":
-        _write_psd_csv(os.path.join(cfg.output_dir, PSD_CSV_NAME), result.psd)
-        _write_constellation_csv(
-            os.path.join(cfg.output_dir, TX_CONSTELLATION_CSV_NAME),
-            result.tx_constellation)
-        _write_constellation_csv(
-            os.path.join(cfg.output_dir, RX_CONSTELLATION_CSV_NAME),
-            result.rx_constellation)
+    # the PSD first: its estimate is the one step left that can fail
+    _write_psd_csv(os.path.join(cfg.output_dir, PSD_CSV_NAME), result.psd)
+    _write_lines(os.path.join(cfg.output_dir, SIM_REPORT_NAME), lines)
+    _write_constellation_csv(os.path.join(cfg.output_dir, TX_CONSTELLATION_CSV_NAME),
+                             result.tx_constellation)
+    _write_constellation_csv(os.path.join(cfg.output_dir, RX_CONSTELLATION_CSV_NAME),
+                             result.rx_constellation)
     ci_low, ci_high = result.ber_confidence
     print(f"ber={result.measured_ber:.6e} ci95=[{ci_low:.6e}, {ci_high:.6e}] "
           f"tx_evm={result.tx_evm_pct:.3f}% rx_evm={result.rx_evm_pct:.3f}% "
@@ -236,9 +232,10 @@ def build_parser() -> _Parser:
 
     p_sim = sub.add_parser("simulate", help="Monte-Carlo link simulation")
     _add_common(p_sim)
-    p_sim.add_argument("--ebn0", type=float, metavar="DB",
+    noise = p_sim.add_mutually_exclusive_group()
+    noise.add_argument("--ebn0", type=float, metavar="DB",
                        help="calibrated AWGN at this Eb/N0 instead of the link noise budget")
-    p_sim.add_argument("--no-noise", action="store_true", help="disable all noise")
+    noise.add_argument("--no-noise", action="store_true", help="disable all noise")
     p_sim.add_argument("--linear-pa", action="store_true",
                        help="treat every stage as ideally linear")
     p_sim.set_defaults(func=cmd_simulate)
@@ -278,7 +275,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         return args.func(args)
-    except ValueError as exc:  # ConfigError included
+    except (ValueError, OSError) as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

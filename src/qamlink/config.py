@@ -3,10 +3,9 @@
 Unknown keys, malformed lines, and bad or non-finite values all raise
 ConfigError with the offending file and line number; a file either parses
 completely or not at all.
-Missing keys fall back to the reference design shipped in ``paper.cfg``
-(1 Gbps, 256-QAM, 5 GHz, 23.31 dBm). The optional keys (the two
-published-figure overrides and ``occupied_bandwidth_hz``) take ``none`` to
-select the derived value.
+Missing keys fall back to the reference design shipped in ``paper.cfg``,
+which sets every key (1 Gbps, 256-QAM, 5 GHz, 23.31 dBm). The two
+published-figure overrides take ``none`` to select the derived value.
 """
 
 from __future__ import annotations
@@ -16,11 +15,9 @@ import re
 from dataclasses import dataclass, field, fields
 
 from .channel import ChannelSpec
-from .linkbudget import FCC_UNII_LIMIT_DBM, LinkScenario
+from .linkbudget import LinkScenario
 from .rfchain import ChainSpec, StageSpec
 from .simulate import PULSE_SHAPES, SimConfig
-
-OUTPUT_FORMATS = ("text", "csv", "both")
 
 
 class ConfigError(ValueError):
@@ -62,8 +59,6 @@ class RunConfig:
     distance_m: float = 1.79
     tx_antenna_gain_db: float = 0.0
     rx_antenna_gain_db: float = 0.0
-    occupied_bandwidth_hz: float | None = None
-    fcc_limit_dbm: float = FCC_UNII_LIMIT_DBM
     tx_stages: list[StageSpec] = field(default_factory=default_tx_stages)
     rx_stages: list[StageSpec] = field(default_factory=default_rx_stages)
     samples_per_symbol: int = 8
@@ -73,7 +68,6 @@ class RunConfig:
     seed: int = 1
     evm_threshold_pct: float = 2.0
     output_dir: str = "."
-    output_format: str = "both"
 
     def channel(self) -> ChannelSpec:
         return ChannelSpec(
@@ -94,8 +88,6 @@ class RunConfig:
                 rx_chain=ChainSpec(tuple(self.rx_stages)),
                 ebn0_override_db=self.ebn0_override_db,
                 rx_nf_override_db=self.rx_nf_override_db,
-                occupied_bandwidth_hz=self.occupied_bandwidth_hz,
-                fcc_limit_dbm=self.fcc_limit_dbm,
             )
         except ValueError as exc:
             raise ConfigError(f"{self.source}: {exc}") from exc
@@ -199,10 +191,6 @@ def parse_config_text(text: str, source: str = "<string>") -> RunConfig:
         raise ConfigError(
             f"{source}: pulse_shape must be one of {PULSE_SHAPES}, "
             f"got {cfg.pulse_shape!r}")
-    if cfg.output_format not in OUTPUT_FORMATS:
-        raise ConfigError(
-            f"{source}: output_format must be one of {OUTPUT_FORMATS}, "
-            f"got {cfg.output_format!r}")
 
     for side, per_index in chain_fields.items():
         if not per_index:

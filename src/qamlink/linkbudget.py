@@ -29,8 +29,6 @@ class LinkScenario:
     rx_chain: ChainSpec
     ebn0_override_db: float | None
     rx_nf_override_db: float | None
-    occupied_bandwidth_hz: float | None  # None: null-to-null
-    fcc_limit_dbm: PowerDbm
 
     def __post_init__(self):
         if self.bit_rate_bps <= 0.0:
@@ -43,13 +41,10 @@ class LinkScenario:
             raise ValueError(f"target BER must be in (0, 0.5), got {self.target_ber}")
         if not math.isfinite(self.tx_power_dbm):
             raise ValueError(f"transmit power must be finite, got {self.tx_power_dbm}")
-        if self.occupied_bandwidth_hz is not None and self.occupied_bandwidth_hz <= 0.0:
-            raise ValueError("occupied bandwidth must be > 0")
 
     @property
     def bandwidth_hz(self) -> float:
-        if self.occupied_bandwidth_hz is not None:
-            return self.occupied_bandwidth_hz
+        """Null-to-null occupied bandwidth, twice the symbol rate."""
         return 2.0 * self.symbol_rate_hz
 
     @property
@@ -80,7 +75,6 @@ class LinkBudgetReport:
     distance_m: float
     max_distance_m: float
     max_distance_at_sensitivity_m: float
-    fcc_limit_dbm: PowerDbm
     fcc_compliant: bool
 
 
@@ -114,9 +108,9 @@ def max_distance(p_tx_dbm: PowerDbm, p_rx_min_dbm: PowerDbm,
     return lam / (4.0 * math.pi) * math.sqrt(db_to_linear(budget_db))
 
 
-def fcc_check(p_tx_dbm: PowerDbm, limit_dbm: PowerDbm = FCC_UNII_LIMIT_DBM) -> bool:
+def fcc_check(p_tx_dbm: PowerDbm) -> bool:
     """True when the transmit power is at or under the band limit."""
-    return p_tx_dbm <= limit_dbm
+    return p_tx_dbm <= FCC_UNII_LIMIT_DBM
 
 
 def analyze(scenario: LinkScenario) -> LinkBudgetReport:
@@ -157,6 +151,5 @@ def analyze(scenario: LinkScenario) -> LinkBudgetReport:
         max_distance_m=max_distance(scenario.tx_power_dbm, p_rx, scenario.channel),
         max_distance_at_sensitivity_m=max_distance(
             scenario.tx_power_dbm, sens, scenario.channel),
-        fcc_limit_dbm=scenario.fcc_limit_dbm,
-        fcc_compliant=fcc_check(scenario.tx_power_dbm, scenario.fcc_limit_dbm),
+        fcc_compliant=fcc_check(scenario.tx_power_dbm),
     )

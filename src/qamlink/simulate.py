@@ -58,7 +58,7 @@ class SimConfig:
     scenario's ``tx_power_dbm``; a compressing stage delivers somewhat less.
     ``calibration_ebn0_db`` switches the channel to calibrated AWGN at
     that Eb/N0 (stage noise off), which is the configuration used to compare
-    measured BER against the closed-form curves.
+    measured BER against the closed-form curves; it needs noise enabled.
     """
 
     scenario: LinkScenario
@@ -88,10 +88,12 @@ class SimConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
-        if self.calibration_ebn0_db is not None and not math.isfinite(
-                self.calibration_ebn0_db):
-            raise ValueError(
-                f"calibration Eb/N0 must be finite, got {self.calibration_ebn0_db}")
+        if self.calibration_ebn0_db is not None:
+            if not math.isfinite(self.calibration_ebn0_db):
+                raise ValueError(
+                    f"calibration Eb/N0 must be finite, got {self.calibration_ebn0_db}")
+            if not self.noise_enabled:
+                raise ValueError("calibration Eb/N0 has no effect with noise disabled")
 
 
 @dataclass(frozen=True)
@@ -241,13 +243,11 @@ class _Context:
 
 @dataclass
 class _BlockStats:
-    n_bits: int
     n_errors: int
     ref_energy: float
     tx_err_energy: float
     rx_err_energy: float
     tx_power_sum: float
-    tx_sample_count: int
     tx_cloud: np.ndarray
     rx_cloud: np.ndarray
     psd_chunk: np.ndarray
@@ -275,7 +275,7 @@ def _build_context(config: SimConfig) -> _Context:
     tx_chain = config.tx_chain.linearized() if config.pa_linear else config.tx_chain
     rx_chain = scenario.rx_chain.linearized() if config.pa_linear else scenario.rx_chain
 
-    if config.calibration_ebn0_db is not None and config.noise_enabled:
+    if config.calibration_ebn0_db is not None:
         noise_mode = "ebn0"
     elif config.noise_enabled:
         noise_mode = "thermal"
@@ -383,13 +383,11 @@ def _simulate_block(config: SimConfig, ctx: _Context, block: int, start_sym: int
     cloud_take = max(0, min(n_sym, ctx.cloud_points - start_sym))
     psd_take = max(0, min(n_sym * sps, ctx.psd_samples - start_sym * sps))
     return _BlockStats(
-        n_bits=n_sym * cmap.bits_per_symbol,
         n_errors=n_errors,
         ref_energy=float(np.sum(np.abs(ref) ** 2)),
         tx_err_energy=evm_error_energy(tx_samples, ref),
         rx_err_energy=evm_error_energy(rx_samples, ref),
         tx_power_sum=float(np.sum(tx_interior.real ** 2 + tx_interior.imag ** 2)),
-        tx_sample_count=tx_interior.size,
         tx_cloud=tx_norm[:cloud_take].copy(),
         rx_cloud=rx_norm[:cloud_take].copy(),
         psd_chunk=tx_interior[:psd_take].copy(),
@@ -421,18 +419,14 @@ def run_link_sim(config: SimConfig) -> SimResult:
     def job(i: int) -> _BlockStats:
         return _simulate_block(config, ctx, i, _SYMBOLS_PER_BLOCK * i, sizes[i])
 
-    workers = worker_count(n_blocks)
-    if workers == 1:
-        stats = [job(i) for i in range(n_blocks)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            stats = list(pool.map(job, range(n_blocks)))
+    with ThreadPoolExecutor(max_workers=worker_count(n_blocks)) as pool:
+        stats = list(pool.map(job, range(n_blocks)))
 
     n_errors = sum(s.n_errors for s in stats)
     ref_energy = sum(s.ref_energy for s in stats)
     tx_err = sum(s.tx_err_energy for s in stats)
     rx_err = sum(s.rx_err_energy for s in stats)
-    tx_power_w = sum(s.tx_power_sum for s in stats) / sum(s.tx_sample_count for s in stats)
+    tx_power_w = sum(s.tx_power_sum for s in stats) / (ctx.n_symbols * ctx.sps)
 
     return SimResult(
         measured_ber=n_errors / config.n_bits,

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from qamlink import cli
-from qamlink.config import ConfigError, RunConfig, load_config, parse_config_text
+from qamlink.config import _KEYS, ConfigError, RunConfig, load_config, parse_config_text
+from qamlink.rfchain import StageSpec
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 PAPER_CFG = REPO_ROOT / "paper.cfg"
@@ -24,6 +25,16 @@ def read_report(path):
 
 
 class TestConfigParsing:
+    def test_paper_cfg_sets_every_key(self):
+        """README calls paper.cfg the full schema: every key and every stage
+        field appears in it."""
+        keys = {line.split("=")[0].strip()
+                for line in PAPER_CFG.read_text().splitlines()
+                if "=" in line.split("#")[0]}
+        assert set(_KEYS) - keys == set()
+        stage_fields = {key.split(".")[2] for key in keys if "_chain." in key}
+        assert {f.name for f in fields(StageSpec)} - stage_fields == set()
+
     def test_paper_cfg_matches_built_in_defaults(self):
         cfg = load_config(str(PAPER_CFG))
         ref = RunConfig()
@@ -34,8 +45,12 @@ class TestConfigParsing:
     def test_unknown_key_reports_line(self):
         with pytest.raises(ConfigError, match=r"cfg:3: unknown key 'bogus'"):
             parse_config_text("seed = 1\n\nbogus = 2\n", source="cfg")
-        # removed inputs: the drive follows tx_power_dbm; kT is fixed at 290 K
-        for line in ("pa_backoff_db = 8.69", "noise_temperature_k = 290"):
+        # removed inputs: the drive follows tx_power_dbm; kT is fixed at 290 K;
+        # every command writes all its files; the FCC limit is 23.98 dBm; the
+        # bandwidth is null-to-null
+        for line in ("pa_backoff_db = 8.69", "noise_temperature_k = 290",
+                     "output_format = text", "fcc_limit_dbm = 30",
+                     "occupied_bandwidth_hz = 125e6"):
             key = line.split()[0]
             with pytest.raises(ConfigError, match=rf"cfg:2: unknown key '{key}'"):
                 parse_config_text(f"seed = 1\n{line}\n", source="cfg")
@@ -60,12 +75,10 @@ class TestConfigParsing:
                 parse_config_text(f"tx_power_dbm = {raw}\n", source="cfg")
 
     def test_none_selects_the_derived_value(self):
-        text = ("ebn0_override_db = none\nrx_nf_override_db = none\n"
-                "occupied_bandwidth_hz = none\n")
+        text = "ebn0_override_db = none\nrx_nf_override_db = none\n"
         cfg = parse_config_text(text, source="cfg")
         assert cfg.ebn0_override_db is None
         assert cfg.rx_nf_override_db is None
-        assert cfg.occupied_bandwidth_hz is None
 
     def test_integer_keys_accept_scientific_notation(self):
         cfg = parse_config_text("n_bits = 1e6\n", source="cfg")
@@ -158,6 +171,15 @@ class TestBudgetCommand:
         code = cli.main(["budget", "--config", str(bad), "--out", str(tmp_path)])
         assert code == 1
         assert f"{bad}:2" in capsys.readouterr().err
+
+    def test_out_that_is_a_file_exits_1_with_one_line(self, tmp_path, capsys):
+        """Used to end in a FileExistsError traceback."""
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        code = cli.main(["budget", "--config", str(PAPER_CFG), "--out", str(taken)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith("error: ")
 
 
 class TestSimulateCommand:
@@ -366,7 +388,11 @@ class TestUsage:
 
     @pytest.mark.parametrize("argv", [
         ["ber-sweep", "--from", "0", "--to", "nan"],
-        ["simulate", "--bits", "0"]])
+        ["simulate", "--bits", "0"],
+        # used to exit 0 with the noise-free report, ignoring --ebn0
+        ["simulate", "--bits", "8000", "--no-noise", "--ebn0", "-5"],
+        # too few samples for the PSD; used to leave sim_report.txt behind
+        ["simulate", "--config", str(QPSK_CFG), "--bits", "2"]])
     def test_rejected_command_leaves_no_output_directory(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
         assert cli.main([*argv, "--out", str(out)]) == 1

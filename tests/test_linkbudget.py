@@ -93,10 +93,6 @@ class TestFccCheck:
     def test_over_limit(self):
         assert not fcc_check(25.0)
 
-    def test_custom_limit(self):
-        assert fcc_check(29.9, limit_dbm=30.0)
-        assert not fcc_check(30.1, limit_dbm=30.0)
-
 
 class TestAnalyze:
     def test_reference_scenario_reproduces_published_numbers(self):

@@ -181,6 +181,11 @@ class TestSimConfigValidation:
         with pytest.raises(ValueError, match="Eb/N0 must be finite"):
             RunConfig().sim_config(calibration_ebn0_db=math.nan)
 
+    def test_calibration_ebn0_without_noise_rejected(self):
+        """Used to run noise-free and ignore the Eb/N0."""
+        with pytest.raises(ValueError, match="no effect with noise disabled"):
+            RunConfig().sim_config(calibration_ebn0_db=6.0, noise_enabled=False)
+
     def test_unknown_pulse_shape(self):
         cfg = RunConfig()
         cfg.pulse_shape = "triangular"
