@@ -1,7 +1,10 @@
 """End-to-end complex-baseband Monte-Carlo simulation of the link:
 bits -> QAM -> pulse shaping -> TX chain -> free space + AWGN -> RX chain ->
-symbol sampling -> demapping, with BER, EVM, spectrum, and constellation
-outputs.
+demapping, with BER, EVM, spectrum, and constellation outputs.
+
+Every stage after the pulse shaper is memoryless, so a block keeps only its
+symbol instants from there on; the TX chain runs at full rate only in the
+blocks that feed the spectrum window, and under calibrated AWGN.
 
 The run is split into fixed-size symbol blocks. Every block draws its bits
 and noise from counter-based RNG streams keyed by (seed, block, purpose), so
@@ -110,7 +113,7 @@ class SimResult:
     n_bits_run: int
     n_bit_errors: int
     sample_rate_hz: float
-    tx_power_dbm: float                  # measured average transmitted power
+    tx_power_dbm: float                  # mean TX power over the full-rate blocks
 
     @cached_property
     def psd(self) -> np.ndarray:
@@ -248,6 +251,7 @@ class _BlockStats:
     tx_err_energy: float
     rx_err_energy: float
     tx_power_sum: float
+    tx_power_samples: int  # 0 unless the block's TX side ran at full rate
     tx_cloud: np.ndarray
     rx_cloud: np.ndarray
     psd_chunk: np.ndarray
@@ -324,10 +328,19 @@ def _gain_normalized(measured: np.ndarray, reference: np.ndarray) -> np.ndarray:
     return measured / gain
 
 
-def _tx_block(config: SimConfig, ctx: _Context, block: int,
-              n_sym: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Bits, mapped symbols, and post-chain waveform for one block (guards
-    included on both ends)."""
+def _instants(ctx: _Context, n_sym: int) -> np.ndarray:
+    """Indices of a block's symbol instants in its full-rate waveform."""
+    return (ctx.guard_symbols + np.arange(n_sym)) * ctx.sps + ctx.sps // 2
+
+
+def _tx_block(config: SimConfig, ctx: _Context, block: int, n_sym: int, *,
+              full_rate: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bits, mapped symbols, and post-chain waveform for one block.
+
+    The waveform is full rate with guards on both ends, or else only its
+    n_sym symbol instants: the drive is normalised on the full-rate pulse,
+    and every TX stage after it is memoryless with white noise.
+    """
     base = block * _STREAMS_PER_BLOCK
     bits_rng = noise_generator(config.seed, base + _STREAM_BITS)
     n_total = n_sym + 2 * ctx.guard_symbols
@@ -336,7 +349,11 @@ def _tx_block(config: SimConfig, ctx: _Context, block: int,
     symbols = map_bits(bits, ctx.cmap)
     wave = pulse_shape(symbols, config)
     mean_power = np.mean(wave.real ** 2 + wave.imag ** 2)
-    wave *= math.sqrt(ctx.input_power_w / mean_power)
+    scale = math.sqrt(ctx.input_power_w / mean_power)
+    if full_rate:
+        wave *= scale
+    else:
+        wave = wave[_instants(ctx, n_sym)] * scale
     tx_rng = (noise_generator(config.seed, base + _STREAM_TX)
               if ctx.noise_mode == "thermal" else None)
     wave = chain_transfer(wave, ctx.tx_chain, ctx.bandwidth_hz, tx_rng)
@@ -350,30 +367,34 @@ def _simulate_block(config: SimConfig, ctx: _Context, block: int, start_sym: int
     sps = ctx.sps
     base = block * _STREAMS_PER_BLOCK
 
-    bits, symbols, wave = _tx_block(config, ctx, block, n_sym)
+    # the TX side runs at full rate where the spectrum window needs its
+    # samples, and under calibrated AWGN, whose noise power is referred to
+    # the full-rate TX power
+    full_rate = ctx.noise_mode == "ebn0" or start_sym * sps < ctx.psd_samples
+    bits, symbols, tx = _tx_block(config, ctx, block, n_sym, full_rate=full_rate)
     ref = symbols[guard:guard + n_sym]
     ref_bits = bits[guard * cmap.bits_per_symbol:(guard + n_sym) * cmap.bits_per_symbol]
-    instants = (guard + np.arange(n_sym)) * sps + sps // 2
+    tx_samples = tx[_instants(ctx, n_sym)] if full_rate else tx
+    # full-rate samples between the guards; none past the spectrum window
+    tx_interior = tx[guard * sps:(guard + n_sym) * sps] if full_rate else tx[:0]
 
-    tx_samples = wave[instants]
-    tx_interior = wave[guard * sps:(guard + n_sym) * sps]
-
-    # free-space path, then the additive noise for the selected mode; thermal
-    # channel noise is due at the RX chain input, which draws it together
-    # with the noise of the chain's first linear stages
-    wave = wave * ctx.path_amplitude
+    # from here on every stage is memoryless and every noise draw white per
+    # sample, so the channel and the RX chain run on the symbol instants:
+    # the free-space path, then the additive noise for the selected mode;
+    # thermal channel noise is due at the RX chain input, which draws it
+    # together with the noise of the chain's first linear stages
+    rx_samples = tx_samples * ctx.path_amplitude
     rx_rng = None
     if ctx.noise_mode == "thermal":
         rx_rng = noise_generator(config.seed, base + _STREAM_RX)
     elif ctx.noise_mode == "ebn0":
         chan_rng = noise_generator(config.seed, base + _STREAM_CHANNEL)
-        rx_power = np.mean(wave.real ** 2 + wave.imag ** 2)
+        rx_power = np.mean(tx.real ** 2 + tx.imag ** 2) * ctx.path_amplitude ** 2
         variance = rx_power / 10.0 ** (ctx.esn0_db / 10.0)
-        wave = wave + complex_noise(chan_rng, wave.shape, variance)
-    wave = chain_transfer(wave, ctx.rx_chain, ctx.bandwidth_hz, rx_rng,
-                          ctx.channel_noise_var_w)
+        rx_samples = rx_samples + complex_noise(chan_rng, rx_samples.shape, variance)
+    rx_samples = chain_transfer(rx_samples, ctx.rx_chain, ctx.bandwidth_hz, rx_rng,
+                                ctx.channel_noise_var_w)
 
-    rx_samples = wave[instants]
     tx_norm = _gain_normalized(tx_samples, ref)
     rx_norm = _gain_normalized(rx_samples, ref)
 
@@ -388,6 +409,7 @@ def _simulate_block(config: SimConfig, ctx: _Context, block: int, start_sym: int
         tx_err_energy=evm_error_energy(tx_samples, ref),
         rx_err_energy=evm_error_energy(rx_samples, ref),
         tx_power_sum=float(np.sum(tx_interior.real ** 2 + tx_interior.imag ** 2)),
+        tx_power_samples=tx_interior.size,
         tx_cloud=tx_norm[:cloud_take].copy(),
         rx_cloud=rx_norm[:cloud_take].copy(),
         psd_chunk=tx_interior[:psd_take].copy(),
@@ -426,7 +448,8 @@ def run_link_sim(config: SimConfig) -> SimResult:
     ref_energy = sum(s.ref_energy for s in stats)
     tx_err = sum(s.tx_err_energy for s in stats)
     rx_err = sum(s.rx_err_energy for s in stats)
-    tx_power_w = sum(s.tx_power_sum for s in stats) / (ctx.n_symbols * ctx.sps)
+    tx_power_w = (sum(s.tx_power_sum for s in stats)
+                  / sum(s.tx_power_samples for s in stats))
 
     return SimResult(
         measured_ber=n_errors / config.n_bits,
@@ -456,7 +479,7 @@ def transmit_waveform(config: SimConfig) -> tuple[np.ndarray, float]:
     n_needed = math.ceil(wanted / (_SYMBOLS_PER_BLOCK * ctx.sps))
     pieces = []
     for block, n_sym in enumerate(_block_sizes(ctx.n_symbols)[:n_needed]):
-        _, _, wave = _tx_block(config, ctx, block, n_sym)
+        _, _, wave = _tx_block(config, ctx, block, n_sym, full_rate=True)
         pieces.append(wave[ctx.guard_symbols * ctx.sps:(ctx.guard_symbols + n_sym) * ctx.sps])
     wave = np.concatenate(pieces)[:wanted]
     return wave, ctx.sample_rate_hz

@@ -10,7 +10,7 @@ import pytest
 import qamlink
 from qamlink import simulate
 from qamlink.channel import complex_noise, noise_generator
-from qamlink.config import RunConfig
+from qamlink.config import RunConfig, load_config
 from qamlink.modem import theoretical_ber
 from qamlink.simulate import (
     estimate_spectrum,
@@ -295,6 +295,85 @@ class TestRunLinkSim:
         assert wave.size == 80_000
         assert fs == 8 * 125e6
         np.testing.assert_array_equal(wave, run_link_sim(cfg.sim_config()).tx_waveform)
+
+
+PAPER_CFG = Path(__file__).resolve().parent.parent / "paper.cfg"
+
+
+class _CountingGenerator:
+    """Forwards to a numpy Generator, counting the real N(0,1) samples drawn."""
+
+    def __init__(self, rng, counts):
+        self._rng = rng
+        self._counts = counts
+
+    def standard_normal(self, *args, **kwargs):
+        out = self._rng.standard_normal(*args, **kwargs)
+        self._counts.append(out.size)
+        return out
+
+    def __getattr__(self, attr):
+        return getattr(self._rng, attr)
+
+
+class TestSymbolRateBlocks:
+    """Past the spectrum window a block runs every stage after the pulse
+    shaper at the symbol instants only; that must change no result."""
+
+    def test_tx_block_at_instants_matches_full_rate_samples(self):
+        config = load_config(str(PAPER_CFG)).sim_config(n_bits=80_000,
+                                                        noise_enabled=False)
+        ctx = simulate._build_context(config)
+        n_sym = 10_000
+        _, _, full = simulate._tx_block(config, ctx, 5, n_sym, full_rate=True)
+        _, _, at_instants = simulate._tx_block(config, ctx, 5, n_sym, full_rate=False)
+        assert at_instants.size == n_sym
+        np.testing.assert_array_equal(at_instants, full[simulate._instants(ctx, n_sym)])
+
+    def test_symbol_rate_blocks_match_full_rate_run(self, monkeypatch):
+        """Noise off, compressing PA: the window's 4 blocks plus 3 later ones."""
+        config = load_config(str(PAPER_CFG)).sim_config(n_bits=1_600_000, seed=7,
+                                                        noise_enabled=False)
+        block_samples = simulate._SYMBOLS_PER_BLOCK * config.samples_per_symbol
+        n_samples = (config.n_bits // config.scenario.bits_per_symbol
+                     * config.samples_per_symbol)
+        assert simulate._PSD_TARGET_SAMPLES + 2 * block_samples < n_samples
+        mixed = run_link_sim(config)
+        monkeypatch.setattr(simulate, "_PSD_TARGET_SAMPLES", n_samples)
+        full = run_link_sim(config)
+        assert full.tx_waveform.size == n_samples
+        assert mixed.measured_ber == full.measured_ber > 0.0
+        assert mixed.n_bit_errors == full.n_bit_errors
+        assert mixed.tx_evm_pct == full.tx_evm_pct
+        assert mixed.rx_evm_pct == full.rx_evm_pct
+        np.testing.assert_array_equal(mixed.tx_constellation, full.tx_constellation)
+        np.testing.assert_array_equal(mixed.rx_constellation, full.rx_constellation)
+
+    def test_thermal_draw_count_follows_block_plan(self, monkeypatch):
+        """4 Mbit of paper.cfg: two complex draws per TX sample (before the PA,
+        at the TX output), full rate in the window blocks and at the symbol
+        instants past it, and two per symbol on the RX side of every block."""
+        config = load_config(str(PAPER_CFG)).sim_config(n_bits=4_000_000)
+        ctx = simulate._build_context(config)
+        expected = 0
+        start = 0
+        for n in simulate._block_sizes(ctx.n_symbols):
+            if start * ctx.sps < ctx.psd_samples:
+                expected += 4 * (n + 2 * ctx.guard_symbols) * ctx.sps
+            else:
+                expected += 4 * n
+            expected += 4 * n
+            start += n
+        assert expected == 7_670_784
+
+        real = simulate.noise_generator
+        for threads in ("1", "2"):
+            counts = []
+            monkeypatch.setattr(simulate, "noise_generator",
+                                lambda *a: _CountingGenerator(real(*a), counts))
+            monkeypatch.setenv("QAMLINK_THREADS", threads)
+            run_link_sim(config)
+            assert sum(counts) == expected, threads
 
 
 def test_worker_count_never_exceeds_cpus_or_jobs(monkeypatch):
