@@ -85,13 +85,13 @@ def _nearest_axis_label(values: np.ndarray, cmap: ConstellationMap) -> np.ndarra
     """
     levels = cmap.axis_levels
     labels = cmap.axis_labels
-    side = levels.size
     mids = 0.5 * (levels[:-1] + levels[1:])
-    idx = np.searchsorted(mids, values)  # boundary values land on the lower level
-    tie = np.flatnonzero((idx < side - 1) & (values == mids[np.minimum(idx, side - 2)]))
-    if tie.size:
-        k = idx[tie]
-        idx[tie] = np.where(labels[k] <= labels[k + 1], k, k + 1)
+    # the level index is the count of midpoints below the value (at most 15);
+    # a value on a midpoint counts it only when the upper level has the
+    # smaller label
+    idx = np.zeros(values.shape, dtype=np.uint8)
+    for k, mid in enumerate(mids):
+        idx += (values > mid) if labels[k] <= labels[k + 1] else (values >= mid)
     return labels[idx]
 
 
@@ -101,8 +101,9 @@ def demap_hard(symbols, cmap: ConstellationMap) -> np.ndarray:
     half = cmap.bits_per_symbol // 2
     labels = (_nearest_axis_label(symbols.real, cmap) << half) | _nearest_axis_label(
         symbols.imag, cmap)
-    shifts = np.arange(cmap.bits_per_symbol - 1, -1, -1)
-    return ((labels[:, None] >> shifts) & 1).astype(np.uint8).reshape(-1)
+    # every supported order has at most 8 bits per symbol
+    bits = np.unpackbits(labels.astype(np.uint8)[:, None], axis=1)
+    return bits[:, 8 - cmap.bits_per_symbol:].reshape(-1)
 
 
 def theoretical_ber(order: int, ebn0_db):

@@ -3,8 +3,11 @@ bits -> QAM -> pulse shaping -> TX chain -> free space + AWGN -> RX chain ->
 demapping, with BER, EVM, spectrum, and constellation outputs.
 
 Every stage after the pulse shaper is memoryless, so a block keeps only its
-symbol instants from there on; the TX chain runs at full rate only in the
-blocks that feed the spectrum window, and under calibrated AWGN.
+symbol instants from there on. The pulse shaper and the TX chain run at full
+rate only in the blocks that feed the spectrum window, and under calibrated
+AWGN; past the window a short symbol-rate FIR shapes the pulses at the
+instants. Every block normalises its drive on the mean power of its
+full-rate pulse waveform, a closed form in its symbols.
 
 The run is split into fixed-size symbol blocks. Every block draws its bits
 and noise from counter-based RNG streams keyed by (seed, block, purpose), so
@@ -221,6 +224,67 @@ def estimate_spectrum(samples, sample_rate_hz: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # run_link_sim internals
 
+def _real_dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Re sum(conj(a) * b), as a pairwise float sum. np.vdot would hand a
+    block-sized product to a BLAS that starts threads of its own, and those
+    contend with the block workers."""
+    return np.sum(a.view(np.float64) * b.view(np.float64))
+
+
+@dataclass(frozen=True)
+class _SymbolRatePulse:
+    """The pulse shaper seen from the symbol instants.
+
+    ``pulse_shape`` convolves the held symbols with ``taps`` in 'same' mode:
+    a sum of held pulses p = ones(sps) * taps, one per symbol sps samples
+    apart, less the first ``delay`` and the last ``taps.size - 1 - delay``
+    samples of the full convolution. The instant symbol lag d away reads
+    p at d * sps + sps // 2 + delay, so the instants are a short
+    symbol-rate FIR of the symbols, and the waveform's energy is a
+    quadratic form in the symbols over p's autocorrelation at symbol lags.
+    """
+
+    taps: np.ndarray  # the lowpass after the hold; [1.0] for rectangular pulses
+    sps: int
+    fir: np.ndarray   # p at the instant, lags -lead, -lead + 1, ...
+    lead: int
+    acf: np.ndarray   # p's autocorrelation at lags 0, sps, 2 sps, ...
+
+    @classmethod
+    def of(cls, taps: np.ndarray, sps: int) -> _SymbolRatePulse:
+        pulse = np.convolve(np.ones(sps), taps)
+        first = sps // 2 + (taps.size - 1) // 2
+        acf = np.correlate(pulse, pulse, "full")[pulse.size - 1::sps]
+        return cls(taps, sps, pulse[first % sps::sps], first // sps, acf)
+
+    def at_instants(self, symbols: np.ndarray, first: int, n: int) -> np.ndarray:
+        """pulse_shape(symbols)[(first + k) * sps + sps // 2] for k < n."""
+        # the real taps filter the interleaved (re, im) pairs as one float
+        # sequence, a zero between taps
+        spread = np.zeros(2 * self.fir.size - 1)
+        spread[::2] = self.fir
+        out = np.convolve(symbols.view(np.float64), spread).view(np.complex128)
+        start = first + self.lead
+        return out[start:start + n]
+
+    def mean_power(self, symbols: np.ndarray) -> float:
+        """Mean of |pulse_shape(symbols)|**2, in closed form."""
+        s = symbols
+        energy = self.acf[0] * _real_dot(s, s)
+        for lag in range(1, min(self.acf.size, s.size)):
+            energy += 2.0 * self.acf[lag] * _real_dot(s[:-lag], s[lag:])
+        if self.taps.size > 1:
+            # the samples 'same' mode drops at each end, from the symbols
+            # that reach them
+            delay = (self.taps.size - 1) // 2
+            k = -(-(self.taps.size - 1) // self.sps)
+            head = np.convolve(np.repeat(s[:k], self.sps), self.taps)[:delay]
+            end = s[max(0, s.size - k):]
+            tail = np.convolve(np.repeat(end, self.sps), self.taps)[end.size * self.sps + delay:]
+            energy -= _real_dot(head, head) + _real_dot(tail, tail)
+        return energy / (s.size * self.sps)
+
+
 @dataclass(frozen=True)
 class _Context:
     """Per-run invariants shared by all blocks."""
@@ -231,6 +295,7 @@ class _Context:
     n_symbols: int
     sample_rate_hz: float
     bandwidth_hz: float
+    pulse: _SymbolRatePulse
     tx_chain: ChainSpec
     rx_chain: ChainSpec
     input_power_w: float
@@ -274,6 +339,7 @@ def _build_context(config: SimConfig) -> _Context:
         taps = gaussian_taps(config.gaussian_bt, sps)
         guard = math.ceil((taps.size // 2) / sps) + 1
     else:
+        taps = np.ones(1)
         guard = 0
 
     tx_chain = config.tx_chain.linearized() if config.pa_linear else config.tx_chain
@@ -301,6 +367,7 @@ def _build_context(config: SimConfig) -> _Context:
         n_symbols=n_symbols,
         sample_rate_hz=sps * scenario.symbol_rate_hz,
         bandwidth_hz=bw,
+        pulse=_SymbolRatePulse.of(taps, sps),
         tx_chain=tx_chain,
         rx_chain=rx_chain,
         input_power_w=dbm_to_watts(drive_dbm),
@@ -338,8 +405,9 @@ def _tx_block(config: SimConfig, ctx: _Context, block: int, n_sym: int, *,
     """Bits, mapped symbols, and post-chain waveform for one block.
 
     The waveform is full rate with guards on both ends, or else only its
-    n_sym symbol instants: the drive is normalised on the full-rate pulse,
-    and every TX stage after it is memoryless with white noise.
+    n_sym symbol instants, shaped by the symbol-rate FIR: every TX stage
+    after the pulse shaper is memoryless with white noise. Either way the
+    drive is normalised on the full-rate pulse's mean power, in closed form.
     """
     base = block * _STREAMS_PER_BLOCK
     bits_rng = noise_generator(config.seed, base + _STREAM_BITS)
@@ -347,13 +415,12 @@ def _tx_block(config: SimConfig, ctx: _Context, block: int, n_sym: int, *,
     bits = bits_rng.integers(0, 2, size=n_total * ctx.cmap.bits_per_symbol,
                              dtype=np.uint8)
     symbols = map_bits(bits, ctx.cmap)
-    wave = pulse_shape(symbols, config)
-    mean_power = np.mean(wave.real ** 2 + wave.imag ** 2)
-    scale = math.sqrt(ctx.input_power_w / mean_power)
+    scale = math.sqrt(ctx.input_power_w / ctx.pulse.mean_power(symbols))
     if full_rate:
+        wave = pulse_shape(symbols, config)
         wave *= scale
     else:
-        wave = wave[_instants(ctx, n_sym)] * scale
+        wave = ctx.pulse.at_instants(symbols, ctx.guard_symbols, n_sym) * scale
     tx_rng = (noise_generator(config.seed, base + _STREAM_TX)
               if ctx.noise_mode == "thermal" else None)
     wave = chain_transfer(wave, ctx.tx_chain, ctx.bandwidth_hz, tx_rng)

@@ -131,6 +131,41 @@ class TestMapping:
             expected = ((winner >> np.arange(cmap.bits_per_symbol - 1, -1, -1)) & 1)
             assert np.array_equal(got, expected.astype(np.uint8))
 
+    @orders
+    def test_demap_matches_sorted_search_oracle(self, order):
+        """Every finite and infinite axis value, midpoints and their float
+        neighbours included, demaps as a sorted search plus a tie fix-up."""
+        cmap = build_constellation(order)
+        levels, labels = cmap.axis_levels, cmap.axis_labels
+        side = levels.size
+        mids = 0.5 * (levels[:-1] + levels[1:])
+        rng = np.random.default_rng(order)
+        axis = np.concatenate([
+            rng.uniform(1.5 * levels[0], 1.5 * levels[-1], 500), mids,
+            np.nextafter(mids, -np.inf), np.nextafter(mids, np.inf), levels,
+            [-1e300, 1e300, -np.inf, np.inf]])
+
+        def oracle_labels(values):
+            idx = np.searchsorted(mids, values)
+            tie = np.flatnonzero((idx < side - 1)
+                                 & (values == mids[np.minimum(idx, side - 2)]))
+            k = idx[tie]
+            idx[tie] = np.where(labels[k] <= labels[k + 1], k, k + 1)
+            return labels[idx]
+
+        shuffled = rng.permutation(axis)
+        i_axis = np.concatenate([axis, shuffled])
+        q_axis = np.concatenate([shuffled, axis])
+        symbols = np.empty(i_axis.size, dtype=np.complex128)
+        symbols.real, symbols.imag = i_axis, q_axis  # 1j * inf would carry a NaN
+        half = cmap.bits_per_symbol // 2
+        label = (oracle_labels(i_axis) << half) | oracle_labels(q_axis)
+        shifts = np.arange(cmap.bits_per_symbol - 1, -1, -1)
+        expected = ((label[:, None] >> shifts) & 1).astype(np.uint8).reshape(-1)
+        got = demap_hard(symbols, cmap)
+        assert got.dtype == np.uint8
+        np.testing.assert_array_equal(got, expected)
+
 
 class TestBandwidthPlan:
     def test_paper_rates(self):

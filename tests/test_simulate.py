@@ -328,7 +328,52 @@ class TestSymbolRateBlocks:
         _, _, full = simulate._tx_block(config, ctx, 5, n_sym, full_rate=True)
         _, _, at_instants = simulate._tx_block(config, ctx, 5, n_sym, full_rate=False)
         assert at_instants.size == n_sym
-        np.testing.assert_array_equal(at_instants, full[simulate._instants(ctx, n_sym)])
+        expected = full[simulate._instants(ctx, n_sym)]
+        # the symbol-rate FIR sums in another order than the full-rate filter
+        np.testing.assert_allclose(at_instants, expected, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(full)))
+
+    @pytest.mark.parametrize("sps", [2, 3, 8, 16])
+    @pytest.mark.parametrize("shape,bt", [("rectangular", 0.5), ("gaussian", 0.3),
+                                          ("gaussian", 0.5), ("gaussian", 1.0)])
+    def test_symbol_rate_pulse_matches_full_rate_pulse(self, sps, shape, bt):
+        """The FIR gives the full-rate pulse at the instants, and the closed
+        form its mean power, for every block size down to one symbol."""
+        config = calibration_config(order=256, samples_per_symbol=sps,
+                                    pulse_shape=shape, gaussian_bt=bt)
+        ctx = simulate._build_context(config)
+        rng = np.random.default_rng(sps)
+        for n_sym in (1, 7, 1000):
+            symbols = ctx.cmap.points[rng.integers(0, 256, n_sym + 2 * ctx.guard_symbols)]
+            full = pulse_shape(symbols, config)
+            at_instants = ctx.pulse.at_instants(symbols, ctx.guard_symbols, n_sym)
+            np.testing.assert_allclose(at_instants, full[simulate._instants(ctx, n_sym)],
+                                       rtol=0, atol=1e-12 * np.max(np.abs(full)))
+            power = np.mean(full.real ** 2 + full.imag ** 2)
+            assert ctx.pulse.mean_power(symbols) == pytest.approx(power, rel=1e-12, abs=0)
+
+    def test_paper_pulse_is_a_three_tap_fir(self):
+        config = load_config(str(PAPER_CFG)).sim_config(n_bits=80_000)
+        pulse = simulate._build_context(config).pulse
+        np.testing.assert_allclose(pulse.fir, [0.0284, 0.943, 0.0284], atol=5e-4)
+        assert pulse.lead == 1
+
+    def test_pulse_shape_runs_only_in_the_window_blocks(self, monkeypatch):
+        """4 Mbit of paper.cfg: the 4 blocks that overlap the spectrum window
+        shape at full rate, the 12 past it at the symbol instants."""
+        config = load_config(str(PAPER_CFG)).sim_config(n_bits=4_000_000)
+        real = simulate.pulse_shape
+        for threads in ("1", "2"):
+            calls = []
+
+            def counting(*args):
+                calls.append(args)
+                return real(*args)
+
+            monkeypatch.setattr(simulate, "pulse_shape", counting)
+            monkeypatch.setenv("QAMLINK_THREADS", threads)
+            run_link_sim(config)
+            assert len(calls) == 4, threads
 
     def test_symbol_rate_blocks_match_full_rate_run(self, monkeypatch):
         """Noise off, compressing PA: the window's 4 blocks plus 3 later ones."""
