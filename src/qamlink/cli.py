@@ -278,6 +278,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except MemoryError as exc:  # numpy's message names the array it could not allocate
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -2,12 +2,12 @@
 bits -> QAM -> pulse shaping -> TX chain -> free space + AWGN -> RX chain ->
 demapping, with BER, EVM, spectrum, and constellation outputs.
 
-Every stage after the pulse shaper is memoryless, so a block keeps only its
-symbol instants from there on. The pulse shaper and the TX chain run at full
-rate only in the blocks that feed the spectrum window, and under calibrated
-AWGN; past the window a short symbol-rate FIR shapes the pulses at the
-instants. Every block normalises its drive on the mean power of its
-full-rate pulse waveform, a closed form in its symbols.
+The pulse shaper is a polyphase bank of symbol-rate FIRs. All its phases
+give the full-rate waveform, which only the blocks feeding the spectrum
+window compute; one phase gives the symbol instants. Every later stage is
+memoryless, so a block keeps only its symbol instants from there on. Every
+block normalises its drive on a closed form of its full-rate pulse power;
+calibrated AWGN is referred to the link budget's received power.
 
 The run is split into fixed-size symbol blocks. Every block draws its bits
 and noise from counter-based RNG streams keyed by (seed, block, purpose), so
@@ -27,7 +27,8 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .channel import complex_noise, noise_floor, noise_generator, path_gain_db
+from .channel import (complex_noise, friis_received_power, noise_floor, noise_generator,
+                      path_gain_db)
 from .linkbudget import LinkScenario
 from .modem import (
     ConstellationMap,
@@ -116,7 +117,7 @@ class SimResult:
     n_bits_run: int
     n_bit_errors: int
     sample_rate_hz: float
-    tx_power_dbm: float                  # mean TX power over the full-rate blocks
+    tx_power_dbm: float                  # mean TX power over the window blocks
 
     @cached_property
     def psd(self) -> np.ndarray:
@@ -163,17 +164,15 @@ def gaussian_taps(bt: float, samples_per_symbol: int) -> np.ndarray:
 
 
 def pulse_shape(symbols, config: SimConfig) -> np.ndarray:
-    """Upsample symbols to the waveform grid.
+    """Upsample symbols to the waveform grid, samples_per_symbol per symbol.
 
     Rectangular mode is plain sample-and-hold; gaussian mode follows the hold
-    with the Gaussian lowpass above (zero group delay, symmetric kernel).
+    with the Gaussian lowpass above (zero group delay, symmetric kernel),
+    trimmed to the held length like 'same'-mode convolution.
     """
-    symbols = np.asarray(symbols, dtype=np.complex128)
-    held = np.repeat(symbols, config.samples_per_symbol)
-    if config.pulse_shape == "rectangular":
-        return held
-    taps = gaussian_taps(config.gaussian_bt, config.samples_per_symbol)
-    return np.convolve(held, taps, mode="same")
+    symbols = np.ascontiguousarray(symbols, dtype=np.complex128)
+    pulse = _SymbolRatePulse.of(config)
+    return pulse.full(symbols)[pulse.delay:pulse.delay + symbols.size * pulse.sps]
 
 
 def welch_psd(samples, sample_rate_hz: float, segment_len: int):
@@ -233,55 +232,64 @@ def _real_dot(a: np.ndarray, b: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class _SymbolRatePulse:
-    """The pulse shaper seen from the symbol instants.
+    """The pulse shaper as a polyphase bank of symbol-rate FIRs.
 
-    ``pulse_shape`` convolves the held symbols with ``taps`` in 'same' mode:
-    a sum of held pulses p = ones(sps) * taps, one per symbol sps samples
-    apart, less the first ``delay`` and the last ``taps.size - 1 - delay``
-    samples of the full convolution. The instant symbol lag d away reads
-    p at d * sps + sps // 2 + delay, so the instants are a short
-    symbol-rate FIR of the symbols, and the waveform's energy is a
+    ``pulse_shape`` is a sum of held pulses p = ones(sps) * taps, one per
+    symbol sps samples apart, less the first ``delay`` and the last
+    ``taps.size - 1 - delay`` samples of the full convolution. Phase r of
+    that convolution, its samples q * sps + r, holds the symbols filtered by
+    p[r::sps] (Crochiere & Rabiner, *Multirate Digital Signal Processing*).
+    The symbol instants are one phase, and the waveform's energy is a
     quadratic form in the symbols over p's autocorrelation at symbol lags.
     """
 
     taps: np.ndarray  # the lowpass after the hold; [1.0] for rectangular pulses
     sps: int
-    fir: np.ndarray   # p at the instant, lags -lead, -lead + 1, ...
-    lead: int
+    delay: int
+    bank: np.ndarray  # (sps, K): p[r::sps] in row r, zero-padded to K taps
     acf: np.ndarray   # p's autocorrelation at lags 0, sps, 2 sps, ...
 
     @classmethod
-    def of(cls, taps: np.ndarray, sps: int) -> _SymbolRatePulse:
+    def of(cls, config: SimConfig) -> _SymbolRatePulse:
+        sps = config.samples_per_symbol
+        taps = (gaussian_taps(config.gaussian_bt, sps)
+                if config.pulse_shape == "gaussian" else np.ones(1))
         pulse = np.convolve(np.ones(sps), taps)
-        first = sps // 2 + (taps.size - 1) // 2
+        bank = np.pad(pulse, (0, -pulse.size % sps)).reshape(-1, sps).T
         acf = np.correlate(pulse, pulse, "full")[pulse.size - 1::sps]
-        return cls(taps, sps, pulse[first % sps::sps], first // sps, acf)
+        return cls(taps, sps, (taps.size - 1) // 2, bank, acf)
+
+    def _filter(self, symbols: np.ndarray, r: int) -> np.ndarray:
+        """Full convolution of the symbols with phase r: n + K - 1 samples."""
+        # the real taps filter the interleaved (re, im) pairs as one float
+        # sequence, a zero between taps
+        spread = np.zeros(2 * self.bank.shape[1] - 1)
+        spread[::2] = self.bank[r]
+        return np.convolve(symbols.view(np.float64), spread).view(np.complex128)
+
+    def full(self, symbols: np.ndarray) -> np.ndarray:
+        """The full convolution, zero-padded to (n + K - 1) * sps samples."""
+        out = np.empty((symbols.size + self.bank.shape[1] - 1, self.sps), np.complex128)
+        for r in range(self.sps):
+            out[:, r] = self._filter(symbols, r)
+        return out.reshape(-1)
 
     def at_instants(self, symbols: np.ndarray, first: int, n: int) -> np.ndarray:
         """pulse_shape(symbols)[(first + k) * sps + sps // 2] for k < n."""
-        # the real taps filter the interleaved (re, im) pairs as one float
-        # sequence, a zero between taps
-        spread = np.zeros(2 * self.fir.size - 1)
-        spread[::2] = self.fir
-        out = np.convolve(symbols.view(np.float64), spread).view(np.complex128)
-        start = first + self.lead
-        return out[start:start + n]
+        lead, phase = divmod(self.sps // 2 + self.delay, self.sps)
+        return self._filter(symbols, phase)[first + lead:first + lead + n]
 
-    def mean_power(self, symbols: np.ndarray) -> float:
-        """Mean of |pulse_shape(symbols)|**2, in closed form."""
-        s = symbols
+    def mean_power(self, s: np.ndarray) -> float:
+        """Mean of |pulse_shape(s)|**2, in closed form."""
         energy = self.acf[0] * _real_dot(s, s)
         for lag in range(1, min(self.acf.size, s.size)):
             energy += 2.0 * self.acf[lag] * _real_dot(s[:-lag], s[lag:])
-        if self.taps.size > 1:
-            # the samples 'same' mode drops at each end, from the symbols
-            # that reach them
-            delay = (self.taps.size - 1) // 2
-            k = -(-(self.taps.size - 1) // self.sps)
-            head = np.convolve(np.repeat(s[:k], self.sps), self.taps)[:delay]
-            end = s[max(0, s.size - k):]
-            tail = np.convolve(np.repeat(end, self.sps), self.taps)[end.size * self.sps + delay:]
-            energy -= _real_dot(head, head) + _real_dot(tail, tail)
+        # less the samples dropped at each end, from the K symbols that reach them
+        k = self.bank.shape[1]
+        head = self.full(s[:k])[:self.delay]
+        end = s[-k:]
+        tail = self.full(end)[end.size * self.sps + self.delay:]
+        energy -= _real_dot(head, head) + _real_dot(tail, tail)
         return energy / (s.size * self.sps)
 
 
@@ -303,8 +311,7 @@ class _Context:
     # "thermal": kTB channel noise plus stage noise, both drawn by the chains
     # "ebn0":    calibrated AWGN only   "off": no noise anywhere
     noise_mode: str
-    channel_noise_var_w: float  # thermal mode only
-    esn0_db: float              # ebn0 mode only
+    channel_noise_var_w: float  # at the RX input: kTB, or the calibrated AWGN
     psd_samples: int
     cloud_points: int
 
@@ -335,22 +342,12 @@ def _build_context(config: SimConfig) -> _Context:
     sps = config.samples_per_symbol
     n_symbols = config.n_bits // cmap.bits_per_symbol
 
-    if config.pulse_shape == "gaussian":
-        taps = gaussian_taps(config.gaussian_bt, sps)
-        guard = math.ceil((taps.size // 2) / sps) + 1
-    else:
-        taps = np.ones(1)
-        guard = 0
+    pulse = _SymbolRatePulse.of(config)
+    guard = (math.ceil((pulse.taps.size // 2) / sps) + 1
+             if config.pulse_shape == "gaussian" else 0)
 
     tx_chain = config.tx_chain.linearized() if config.pa_linear else config.tx_chain
     rx_chain = scenario.rx_chain.linearized() if config.pa_linear else scenario.rx_chain
-
-    if config.calibration_ebn0_db is not None:
-        noise_mode = "ebn0"
-    elif config.noise_enabled:
-        noise_mode = "thermal"
-    else:
-        noise_mode = "off"
 
     # average drive power: the small-signal chain output is the transmit power
     drive_dbm = scenario.tx_power_dbm - sum(s.gain_db for s in tx_chain.stages)
@@ -359,6 +356,16 @@ def _build_context(config: SimConfig) -> _Context:
         # the budget path surfaces the near-field advisory; not once per run here
         warnings.simplefilter("ignore")
         path_db = path_gain_db(scenario.channel)
+        rx_power_dbm = friis_received_power(scenario.tx_power_dbm, scenario.channel)
+
+    if config.calibration_ebn0_db is not None:
+        noise_mode = "ebn0"
+        # Es/N0 against the budget's received power, small-signal TX output
+        esn0_db = config.calibration_ebn0_db + 10.0 * math.log10(cmap.bits_per_symbol)
+        channel_noise_var_w = dbm_to_watts(rx_power_dbm) / 10.0 ** (esn0_db / 10.0)
+    else:
+        noise_mode = "thermal" if config.noise_enabled else "off"
+        channel_noise_var_w = dbm_to_watts(noise_floor(bw, 0.0))
 
     return _Context(
         cmap=cmap,
@@ -367,37 +374,30 @@ def _build_context(config: SimConfig) -> _Context:
         n_symbols=n_symbols,
         sample_rate_hz=sps * scenario.symbol_rate_hz,
         bandwidth_hz=bw,
-        pulse=_SymbolRatePulse.of(taps, sps),
+        pulse=pulse,
         tx_chain=tx_chain,
         rx_chain=rx_chain,
         input_power_w=dbm_to_watts(drive_dbm),
         path_amplitude=10.0 ** (path_db / 20.0),
         noise_mode=noise_mode,
-        channel_noise_var_w=dbm_to_watts(noise_floor(bw, 0.0)),
-        esn0_db=(0.0 if config.calibration_ebn0_db is None else config.calibration_ebn0_db)
-        + 10.0 * math.log10(cmap.bits_per_symbol),
+        channel_noise_var_w=channel_noise_var_w,
         psd_samples=min(n_symbols * sps, _PSD_TARGET_SAMPLES),
         cloud_points=min(n_symbols, _MAX_CLOUD_POINTS),
     )
 
 
-def _gain_normalized(measured: np.ndarray, reference: np.ndarray) -> np.ndarray:
+def _gain_normalized(measured: np.ndarray, reference: np.ndarray,
+                     reference_energy: float) -> np.ndarray:
     """Measured samples divided by the data-aided complex gain estimate.
 
     Projecting onto the known reference makes the estimate unbiased under
     additive noise, unlike the EVM-minimizing scalar, which shrinks by
     1/(1 + 1/SNR) and would skew the outer decision regions.
     """
-    gain = np.sum(np.conj(reference) * measured) / np.sum(
-        reference.real ** 2 + reference.imag ** 2)
+    gain = np.sum(np.conj(reference) * measured) / reference_energy
     if gain == 0.0:
         return measured.copy()
     return measured / gain
-
-
-def _instants(ctx: _Context, n_sym: int) -> np.ndarray:
-    """Indices of a block's symbol instants in its full-rate waveform."""
-    return (ctx.guard_symbols + np.arange(n_sym)) * ctx.sps + ctx.sps // 2
 
 
 def _tx_block(config: SimConfig, ctx: _Context, block: int, n_sym: int, *,
@@ -405,9 +405,9 @@ def _tx_block(config: SimConfig, ctx: _Context, block: int, n_sym: int, *,
     """Bits, mapped symbols, and post-chain waveform for one block.
 
     The waveform is full rate with guards on both ends, or else only its
-    n_sym symbol instants, shaped by the symbol-rate FIR: every TX stage
-    after the pulse shaper is memoryless with white noise. Either way the
-    drive is normalised on the full-rate pulse's mean power, in closed form.
+    n_sym symbol instants, one phase of the pulse shaper's filter bank: every
+    later TX stage is memoryless with white noise. Either way the drive is
+    normalised on the full-rate pulse's mean power, in closed form.
     """
     base = block * _STREAMS_PER_BLOCK
     bits_rng = noise_generator(config.seed, base + _STREAM_BITS)
@@ -416,11 +416,9 @@ def _tx_block(config: SimConfig, ctx: _Context, block: int, n_sym: int, *,
                              dtype=np.uint8)
     symbols = map_bits(bits, ctx.cmap)
     scale = math.sqrt(ctx.input_power_w / ctx.pulse.mean_power(symbols))
-    if full_rate:
-        wave = pulse_shape(symbols, config)
-        wave *= scale
-    else:
-        wave = ctx.pulse.at_instants(symbols, ctx.guard_symbols, n_sym) * scale
+    wave = (pulse_shape(symbols, config) if full_rate
+            else ctx.pulse.at_instants(symbols, ctx.guard_symbols, n_sym))
+    wave *= scale
     tx_rng = (noise_generator(config.seed, base + _STREAM_TX)
               if ctx.noise_mode == "thermal" else None)
     wave = chain_transfer(wave, ctx.tx_chain, ctx.bandwidth_hz, tx_rng)
@@ -434,16 +432,14 @@ def _simulate_block(config: SimConfig, ctx: _Context, block: int, start_sym: int
     sps = ctx.sps
     base = block * _STREAMS_PER_BLOCK
 
-    # the TX side runs at full rate where the spectrum window needs its
-    # samples, and under calibrated AWGN, whose noise power is referred to
-    # the full-rate TX power
-    full_rate = ctx.noise_mode == "ebn0" or start_sym * sps < ctx.psd_samples
+    # the TX side runs at full rate where the spectrum window needs its samples
+    full_rate = start_sym * sps < ctx.psd_samples
     bits, symbols, tx = _tx_block(config, ctx, block, n_sym, full_rate=full_rate)
     ref = symbols[guard:guard + n_sym]
     ref_bits = bits[guard * cmap.bits_per_symbol:(guard + n_sym) * cmap.bits_per_symbol]
-    tx_samples = tx[_instants(ctx, n_sym)] if full_rate else tx
     # full-rate samples between the guards; none past the spectrum window
     tx_interior = tx[guard * sps:(guard + n_sym) * sps] if full_rate else tx[:0]
+    tx_samples = tx_interior[sps // 2::sps] if full_rate else tx
 
     # from here on every stage is memoryless and every noise draw white per
     # sample, so the channel and the RX chain run on the symbol instants:
@@ -456,14 +452,13 @@ def _simulate_block(config: SimConfig, ctx: _Context, block: int, start_sym: int
         rx_rng = noise_generator(config.seed, base + _STREAM_RX)
     elif ctx.noise_mode == "ebn0":
         chan_rng = noise_generator(config.seed, base + _STREAM_CHANNEL)
-        rx_power = np.mean(tx.real ** 2 + tx.imag ** 2) * ctx.path_amplitude ** 2
-        variance = rx_power / 10.0 ** (ctx.esn0_db / 10.0)
-        rx_samples = rx_samples + complex_noise(chan_rng, rx_samples.shape, variance)
+        rx_samples += complex_noise(chan_rng, n_sym, ctx.channel_noise_var_w)
     rx_samples = chain_transfer(rx_samples, ctx.rx_chain, ctx.bandwidth_hz, rx_rng,
                                 ctx.channel_noise_var_w)
 
-    tx_norm = _gain_normalized(tx_samples, ref)
-    rx_norm = _gain_normalized(rx_samples, ref)
+    ref_energy = np.sum(ref.real ** 2 + ref.imag ** 2)
+    tx_norm = _gain_normalized(tx_samples, ref, ref_energy)
+    rx_norm = _gain_normalized(rx_samples, ref, ref_energy)
 
     rx_bits = demap_hard(rx_norm, cmap)
     n_errors = int(np.count_nonzero(rx_bits != ref_bits))
@@ -472,7 +467,7 @@ def _simulate_block(config: SimConfig, ctx: _Context, block: int, start_sym: int
     psd_take = max(0, min(n_sym * sps, ctx.psd_samples - start_sym * sps))
     return _BlockStats(
         n_errors=n_errors,
-        ref_energy=float(np.sum(np.abs(ref) ** 2)),
+        ref_energy=float(ref_energy),
         tx_err_energy=evm_error_energy(tx_samples, ref),
         rx_err_energy=evm_error_energy(rx_samples, ref),
         tx_power_sum=float(np.sum(tx_interior.real ** 2 + tx_interior.imag ** 2)),

@@ -397,3 +397,27 @@ class TestUsage:
         out = tmp_path / "out"
         assert cli.main([*argv, "--out", str(out)]) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["gaussian_bt = 1e-9",
+                                      "samples_per_symbol = 1000000000"])
+    def test_allocation_failure_exits_1_with_one_line(self, tmp_path, capsys,
+                                                       monkeypatch, line):
+        """Under a 3 GB address-space limit both configs used to end in a
+        numpy _ArrayMemoryError traceback: the Gaussian taps alone need tens
+        of GiB. The failing allocation is stubbed here, not made."""
+        from qamlink import simulate
+
+        def failing(*args):
+            raise MemoryError("Unable to allocate 63.1 GiB for an array with "
+                              "shape (8472000000,) and data type float64")
+
+        monkeypatch.setattr(simulate, "gaussian_taps", failing)
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "out"
+        code = cli.main(["simulate", "--config", str(cfg), "--bits", "8000",
+                         "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith("error: out of memory")
+        assert not out.exists()

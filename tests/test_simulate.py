@@ -9,9 +9,10 @@ import pytest
 
 import qamlink
 from qamlink import simulate
-from qamlink.channel import complex_noise, noise_generator
+from qamlink.channel import complex_noise, friis_received_power, noise_generator
 from qamlink.config import RunConfig, load_config
 from qamlink.modem import theoretical_ber
+from qamlink.units import dbm_to_watts
 from qamlink.simulate import (
     estimate_spectrum,
     gaussian_taps,
@@ -270,6 +271,36 @@ class TestRunLinkSim:
         np.testing.assert_array_equal(a.tx_constellation, b.tx_constellation)
         np.testing.assert_array_equal(a.rx_constellation, b.rx_constellation)
 
+    @pytest.mark.parametrize("pa_linear", [False, True])
+    def test_calibrated_noise_is_referred_to_the_budget_rx_power(self, monkeypatch,
+                                                                 pa_linear):
+        """Every block draws AWGN of the budget's received power over Es/N0.
+        A linear chain transmits that power; the compressing PA delivers
+        ~0.15 dB less, which leaves the noise level unchanged."""
+        config = load_config(str(PAPER_CFG)).sim_config(
+            n_bits=800_000, calibration_ebn0_db=20.0, pa_linear=pa_linear)
+        scenario = config.scenario
+        rx_power_w = dbm_to_watts(friis_received_power(scenario.tx_power_dbm,
+                                                       scenario.channel))
+        expected = rx_power_w / 10.0 ** ((20.0 + 10.0 * math.log10(8)) / 10.0)
+        variances = []
+        real = simulate.complex_noise
+
+        def recording(rng, shape, variance):
+            variances.append(variance)
+            return real(rng, shape, variance)
+
+        monkeypatch.setattr(simulate, "complex_noise", recording)
+        result = run_link_sim(config)
+        assert variances == [pytest.approx(expected, rel=1e-12, abs=0)] * 4
+        # tx_power_dbm is measured between the block guards, the drive
+        # normalised over whole blocks
+        drop = scenario.tx_power_dbm - result.tx_power_dbm
+        if pa_linear:
+            assert drop == pytest.approx(0.0, abs=1e-4)
+        else:
+            assert drop == pytest.approx(0.15, abs=0.02)
+
     def test_psd_is_estimated_on_first_access(self, monkeypatch):
         calls = []
         real = simulate.estimate_spectrum
@@ -316,6 +347,22 @@ class _CountingGenerator:
         return getattr(self._rng, attr)
 
 
+def held_pulse_oracle(symbols, config):
+    """The pulse shaper written out at full rate: hold each symbol for sps
+    samples, then the Gaussian lowpass as a 'same'-mode convolution."""
+    held = np.repeat(np.asarray(symbols, dtype=complex), config.samples_per_symbol)
+    if config.pulse_shape == "rectangular":
+        return held
+    return np.convolve(held, gaussian_taps(config.gaussian_bt, config.samples_per_symbol),
+                       mode="same")
+
+
+def block_instants(wave, ctx, n_sym):
+    """The n_sym symbol instants of a full-rate block waveform with guards."""
+    start = ctx.guard_symbols * ctx.sps + ctx.sps // 2
+    return wave[start:start + n_sym * ctx.sps:ctx.sps]
+
+
 class TestSymbolRateBlocks:
     """Past the spectrum window a block runs every stage after the pulse
     shaper at the symbol instants only; that must change no result."""
@@ -328,52 +375,61 @@ class TestSymbolRateBlocks:
         _, _, full = simulate._tx_block(config, ctx, 5, n_sym, full_rate=True)
         _, _, at_instants = simulate._tx_block(config, ctx, 5, n_sym, full_rate=False)
         assert at_instants.size == n_sym
-        expected = full[simulate._instants(ctx, n_sym)]
-        # the symbol-rate FIR sums in another order than the full-rate filter
-        np.testing.assert_allclose(at_instants, expected, rtol=0,
-                                   atol=1e-12 * np.max(np.abs(full)))
+        np.testing.assert_array_equal(at_instants, block_instants(full, ctx, n_sym))
 
     @pytest.mark.parametrize("sps", [2, 3, 8, 16])
     @pytest.mark.parametrize("shape,bt", [("rectangular", 0.5), ("gaussian", 0.3),
                                           ("gaussian", 0.5), ("gaussian", 1.0)])
     def test_symbol_rate_pulse_matches_full_rate_pulse(self, sps, shape, bt):
-        """The FIR gives the full-rate pulse at the instants, and the closed
-        form its mean power, for every block size down to one symbol."""
+        """The filter bank gives the held, filtered pulse train, one of its
+        phases the instants, and the closed form the mean power, for every
+        block size down to one symbol."""
         config = calibration_config(order=256, samples_per_symbol=sps,
                                     pulse_shape=shape, gaussian_bt=bt)
         ctx = simulate._build_context(config)
         rng = np.random.default_rng(sps)
         for n_sym in (1, 7, 1000):
             symbols = ctx.cmap.points[rng.integers(0, 256, n_sym + 2 * ctx.guard_symbols)]
+            oracle = held_pulse_oracle(symbols, config)
             full = pulse_shape(symbols, config)
+            # the bank sums in another order than the full-rate convolution
+            np.testing.assert_allclose(full, oracle, rtol=0,
+                                       atol=1e-12 * np.max(np.abs(oracle)))
             at_instants = ctx.pulse.at_instants(symbols, ctx.guard_symbols, n_sym)
-            np.testing.assert_allclose(at_instants, full[simulate._instants(ctx, n_sym)],
-                                       rtol=0, atol=1e-12 * np.max(np.abs(full)))
-            power = np.mean(full.real ** 2 + full.imag ** 2)
+            np.testing.assert_array_equal(at_instants, block_instants(full, ctx, n_sym))
+            power = np.mean(oracle.real ** 2 + oracle.imag ** 2)
             assert ctx.pulse.mean_power(symbols) == pytest.approx(power, rel=1e-12, abs=0)
 
     def test_paper_pulse_is_a_three_tap_fir(self):
+        """An isolated symbol reaches three instants: its own and one either side."""
         config = load_config(str(PAPER_CFG)).sim_config(n_bits=80_000)
-        pulse = simulate._build_context(config).pulse
-        np.testing.assert_allclose(pulse.fir, [0.0284, 0.943, 0.0284], atol=5e-4)
-        assert pulse.lead == 1
+        ctx = simulate._build_context(config)
+        symbols = np.zeros(2 * ctx.guard_symbols + 7, dtype=complex)
+        symbols[ctx.guard_symbols + 3] = 1.0
+        at_instants = ctx.pulse.at_instants(symbols, ctx.guard_symbols, 7)
+        np.testing.assert_allclose(at_instants.real, [0, 0, 0.0284, 0.943, 0.0284, 0, 0],
+                                   atol=5e-4)
+        assert np.count_nonzero(at_instants) == 3
 
     def test_pulse_shape_runs_only_in_the_window_blocks(self, monkeypatch):
         """4 Mbit of paper.cfg: the 4 blocks that overlap the spectrum window
-        shape at full rate, the 12 past it at the symbol instants."""
-        config = load_config(str(PAPER_CFG)).sim_config(n_bits=4_000_000)
+        shape at full rate, the 12 past it at the symbol instants, under
+        calibrated AWGN too."""
         real = simulate.pulse_shape
-        for threads in ("1", "2"):
-            calls = []
+        for ebn0 in (None, 20.0):
+            config = load_config(str(PAPER_CFG)).sim_config(n_bits=4_000_000,
+                                                            calibration_ebn0_db=ebn0)
+            for threads in ("1", "2"):
+                calls = []
 
-            def counting(*args):
-                calls.append(args)
-                return real(*args)
+                def counting(*args):
+                    calls.append(args)
+                    return real(*args)
 
-            monkeypatch.setattr(simulate, "pulse_shape", counting)
-            monkeypatch.setenv("QAMLINK_THREADS", threads)
-            run_link_sim(config)
-            assert len(calls) == 4, threads
+                monkeypatch.setattr(simulate, "pulse_shape", counting)
+                monkeypatch.setenv("QAMLINK_THREADS", threads)
+                run_link_sim(config)
+                assert len(calls) == 4, (ebn0, threads)
 
     def test_symbol_rate_blocks_match_full_rate_run(self, monkeypatch):
         """Noise off, compressing PA: the window's 4 blocks plus 3 later ones."""
