@@ -185,7 +185,7 @@ def cmd_ber_sweep(args) -> int:
             rows.append(f"{ebn0:.2f},{theory:.8e},,,")
             continue
         result = run_link_sim(cfg.sim_config(n_bits=n_bits, seed=cfg.seed + i,
-                                             calibration_ebn0_db=ebn0))
+                                             calibration_ebn0_db=ebn0), window=False)
         ci_low, ci_high = result.ber_confidence
         rows.append(f"{ebn0:.2f},{theory:.8e},{result.measured_ber:.8e},"
                     f"{ci_low:.8e},{ci_high:.8e}")

@@ -1,4 +1,4 @@
-"""Square-QAM constellations, bit mapping and hard demapping, EVM, and
+"""Square-QAM constellations, bit mapping and hard demapping, and
 closed-form bit-error-rate curves."""
 
 from __future__ import annotations
@@ -32,10 +32,6 @@ class ConstellationMap:
     points: np.ndarray       # complex128, indexed by symbol label
     axis_levels: np.ndarray  # ascending coordinate levels shared by I and Q
     axis_labels: np.ndarray  # Gray label carried by each axis level
-
-    def min_distance(self) -> float:
-        """Spacing between adjacent grid points along one axis."""
-        return float(self.axis_levels[1] - self.axis_levels[0])
 
 
 def build_constellation(order: int) -> ConstellationMap:
@@ -137,11 +133,3 @@ def ebn0_for_ber(order: int, target_ber: float) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def evm_error_energy(measured: np.ndarray, reference: np.ndarray) -> float:
-    """Sum |a*measured - reference|^2 with a chosen to minimize it (the EVM
-    normalization: bulk gain and phase are not error)."""
-    power = np.sum(measured.real ** 2 + measured.imag ** 2)
-    scale = np.sum(np.conj(measured) * reference) / power if power > 0.0 else 0.0
-    return float(np.sum(np.abs(scale * measured - reference) ** 2))

@@ -4,10 +4,12 @@ demapping, with BER, EVM, spectrum, and constellation outputs.
 
 The pulse shaper is a polyphase bank of symbol-rate FIRs. All its phases
 give the full-rate waveform, which only the blocks feeding the spectrum
-window compute; one phase gives the symbol instants. Every later stage is
-memoryless, so a block keeps only its symbol instants from there on. Every
-block normalises its drive on a closed form of its full-rate pulse power;
-calibrated AWGN is referred to the link budget's received power.
+window compute; one phase gives the symbol instants. A caller that reads
+no PSD or TX power (a BER sweep) asks for no window, and then every block
+runs at the symbol instants. Every later stage is memoryless, so a block
+keeps only its symbol instants from there on. Every block normalises its
+drive on a closed form of its full-rate pulse power; calibrated AWGN is
+referred to the link budget's received power.
 
 The run is split into fixed-size symbol blocks. Every block draws its bits
 and noise from counter-based RNG streams keyed by (seed, block, purpose), so
@@ -34,7 +36,6 @@ from .modem import (
     ConstellationMap,
     build_constellation,
     demap_hard,
-    evm_error_energy,
     map_bits,
 )
 from .rfchain import ChainSpec, chain_transfer
@@ -117,7 +118,7 @@ class SimResult:
     n_bits_run: int
     n_bit_errors: int
     sample_rate_hz: float
-    tx_power_dbm: float                  # mean TX power over the window blocks
+    tx_power_dbm: float | None           # mean TX power over the window; None without one
 
     @cached_property
     def psd(self) -> np.ndarray:
@@ -336,7 +337,7 @@ def _block_sizes(n_symbols: int) -> list[int]:
         n_symbols - _SYMBOLS_PER_BLOCK * (n_blocks - 1)]
 
 
-def _build_context(config: SimConfig) -> _Context:
+def _build_context(config: SimConfig, window: bool = True) -> _Context:
     scenario = config.scenario
     cmap = build_constellation(scenario.modulation_order)
     sps = config.samples_per_symbol
@@ -381,23 +382,28 @@ def _build_context(config: SimConfig) -> _Context:
         path_amplitude=10.0 ** (path_db / 20.0),
         noise_mode=noise_mode,
         channel_noise_var_w=channel_noise_var_w,
-        psd_samples=min(n_symbols * sps, _PSD_TARGET_SAMPLES),
+        psd_samples=min(n_symbols * sps, _PSD_TARGET_SAMPLES) if window else 0,
         cloud_points=min(n_symbols, _MAX_CLOUD_POINTS),
     )
 
 
-def _gain_normalized(measured: np.ndarray, reference: np.ndarray,
-                     reference_energy: float) -> np.ndarray:
-    """Measured samples divided by the data-aided complex gain estimate.
+def _gain_and_error(measured: np.ndarray, reference: np.ndarray,
+                    reference_energy: float) -> tuple[np.ndarray, float]:
+    """Measured samples divided by the data-aided complex gain estimate, and
+    the EVM error energy min_a sum |a * measured - reference|**2.
 
-    Projecting onto the known reference makes the estimate unbiased under
-    additive noise, unlike the EVM-minimizing scalar, which shrinks by
-    1/(1 + 1/SNR) and would skew the outer decision regions.
+    Both come from c = sum(conj(reference) * measured). The gain is
+    c / reference_energy: projecting onto the known reference makes it
+    unbiased under additive noise, unlike the EVM-minimizing scalar, which
+    shrinks by 1/(1 + 1/SNR) and would skew the outer decision regions. The
+    error energy is reference_energy - |c|**2 / sum |measured|**2, so bulk
+    gain and phase are not error; it is clamped at 0 against rounding.
     """
-    gain = np.sum(np.conj(reference) * measured) / reference_energy
-    if gain == 0.0:
-        return measured.copy()
-    return measured / gain
+    c = np.sum(np.conj(reference) * measured)
+    power = np.sum(measured.real ** 2 + measured.imag ** 2)
+    error = max(0.0, reference_energy - abs(c) ** 2 / power) if power else reference_energy
+    gain = c / reference_energy
+    return (measured / gain if gain != 0.0 else measured.copy()), float(error)
 
 
 def _tx_block(config: SimConfig, ctx: _Context, block: int, n_sym: int, *,
@@ -457,8 +463,8 @@ def _simulate_block(config: SimConfig, ctx: _Context, block: int, start_sym: int
                                 ctx.channel_noise_var_w)
 
     ref_energy = np.sum(ref.real ** 2 + ref.imag ** 2)
-    tx_norm = _gain_normalized(tx_samples, ref, ref_energy)
-    rx_norm = _gain_normalized(rx_samples, ref, ref_energy)
+    tx_norm, tx_err_energy = _gain_and_error(tx_samples, ref, ref_energy)
+    rx_norm, rx_err_energy = _gain_and_error(rx_samples, ref, ref_energy)
 
     rx_bits = demap_hard(rx_norm, cmap)
     n_errors = int(np.count_nonzero(rx_bits != ref_bits))
@@ -468,8 +474,8 @@ def _simulate_block(config: SimConfig, ctx: _Context, block: int, start_sym: int
     return _BlockStats(
         n_errors=n_errors,
         ref_energy=float(ref_energy),
-        tx_err_energy=evm_error_energy(tx_samples, ref),
-        rx_err_energy=evm_error_energy(rx_samples, ref),
+        tx_err_energy=tx_err_energy,
+        rx_err_energy=rx_err_energy,
         tx_power_sum=float(np.sum(tx_interior.real ** 2 + tx_interior.imag ** 2)),
         tx_power_samples=tx_interior.size,
         tx_cloud=tx_norm[:cloud_take].copy(),
@@ -490,13 +496,15 @@ def worker_count(n_jobs: int) -> int:
     return max(1, min(cap, n_jobs))
 
 
-def run_link_sim(config: SimConfig) -> SimResult:
+def run_link_sim(config: SimConfig, *, window: bool = True) -> SimResult:
     """Run the Monte-Carlo link simulation described by config.
 
     Deterministic for a fixed seed under any worker count: blocks own their
-    RNG streams and the reduction happens in block order.
+    RNG streams and the reduction happens in block order. Without ``window``
+    ``tx_waveform`` is empty and ``tx_power_dbm`` None; every other field is
+    the same as with it.
     """
-    ctx = _build_context(config)
+    ctx = _build_context(config, window)
     sizes = _block_sizes(ctx.n_symbols)
     n_blocks = len(sizes)
 
@@ -510,8 +518,7 @@ def run_link_sim(config: SimConfig) -> SimResult:
     ref_energy = sum(s.ref_energy for s in stats)
     tx_err = sum(s.tx_err_energy for s in stats)
     rx_err = sum(s.rx_err_energy for s in stats)
-    tx_power_w = (sum(s.tx_power_sum for s in stats)
-                  / sum(s.tx_power_samples for s in stats))
+    n_power = sum(s.tx_power_samples for s in stats)
 
     return SimResult(
         measured_ber=n_errors / config.n_bits,
@@ -524,7 +531,8 @@ def run_link_sim(config: SimConfig) -> SimResult:
         n_bits_run=config.n_bits,
         n_bit_errors=n_errors,
         sample_rate_hz=ctx.sample_rate_hz,
-        tx_power_dbm=watts_to_dbm(tx_power_w),
+        tx_power_dbm=(watts_to_dbm(sum(s.tx_power_sum for s in stats) / n_power)
+                      if n_power else None),
     )
 
 

@@ -6,12 +6,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qamlink
-from qamlink import simulate
+from qamlink import cli, simulate
 from qamlink.channel import complex_noise, friis_received_power, noise_generator
 from qamlink.config import RunConfig, load_config
-from qamlink.modem import theoretical_ber
+from qamlink.modem import SUPPORTED_ORDERS, build_constellation, theoretical_ber
 from qamlink.units import dbm_to_watts
 from qamlink.simulate import (
     estimate_spectrum,
@@ -23,6 +25,10 @@ from qamlink.simulate import (
     wilson_interval,
     worker_count,
 )
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+PAPER_CFG = REPO_ROOT / "paper.cfg"
+QPSK_CFG = REPO_ROOT / "qpsk.cfg"
 
 
 def calibration_config(order=4, ebn0_db=7.0, n_bits=200_000, seed=1, **overrides):
@@ -327,8 +333,134 @@ class TestRunLinkSim:
         assert fs == 8 * 125e6
         np.testing.assert_array_equal(wave, run_link_sim(cfg.sim_config()).tx_waveform)
 
+    @pytest.mark.parametrize("path,overrides", [
+        ("paper.cfg", dict(n_bits=1_600_000, seed=2, noise_enabled=False)),
+        ("qpsk.cfg", dict(calibration_ebn0_db=7.0)),
+    ])
+    def test_windowless_run_matches_windowed_run(self, path, overrides):
+        """Compressing PA with noise off, and calibrated AWGN on qpsk.cfg,
+        whose 2 Mbit put 16 of its 31 blocks in the window: without the
+        window no TX power is measured, and nothing else moves."""
+        config = load_config(str(REPO_ROOT / path)).sim_config(**overrides)
+        windowed = run_link_sim(config)
+        bare = run_link_sim(config, window=False)
+        assert bare.tx_power_dbm is None
+        assert bare.tx_waveform.size == 0
+        assert math.isfinite(windowed.tx_power_dbm)
+        assert windowed.tx_waveform.size > 0
+        assert bare.measured_ber == windowed.measured_ber
+        assert bare.n_bit_errors == windowed.n_bit_errors
+        assert bare.ber_confidence == windowed.ber_confidence
+        assert bare.tx_evm_pct == windowed.tx_evm_pct
+        assert bare.rx_evm_pct == windowed.rx_evm_pct
+        np.testing.assert_array_equal(bare.tx_constellation, windowed.tx_constellation)
+        np.testing.assert_array_equal(bare.rx_constellation, windowed.rx_constellation)
 
-PAPER_CFG = Path(__file__).resolve().parent.parent / "paper.cfg"
+    @pytest.mark.parametrize("order", SUPPORTED_ORDERS)
+    def test_ideal_chain_without_noise_reads_zero_evm(self, order):
+        """Ideal chains and rectangular pulses put every instant on its symbol
+        times one gain. The sums leave a rounding residue of a few ulps of the
+        reference energy, of either sign: the EVMs are never nan and print as
+        0.0000 %."""
+        cfg = load_config(str(QPSK_CFG))
+        cfg.modulation_order = order
+        result = run_link_sim(cfg.sim_config(n_bits=240_000, noise_enabled=False))
+        assert result.n_bit_errors == 0
+        for evm in (result.tx_evm_pct, result.rx_evm_pct):
+            assert 0.0 <= evm < 5e-5, order
+
+
+def evm_error_energy(measured, reference):
+    """The EVM error energy of the simulator's shared-sums helper."""
+    measured = np.asarray(measured, dtype=complex)
+    reference = np.asarray(reference, dtype=complex)
+    energy = np.sum(reference.real ** 2 + reference.imag ** 2)
+    return simulate._gain_and_error(measured, reference, energy)[1]
+
+
+def direct_error_energy(measured, reference):
+    """Oracle: sum |a * measured - reference|**2 at the minimising a."""
+    scale = np.sum(np.conj(measured) * reference) / np.sum(np.abs(measured) ** 2)
+    return float(np.sum(np.abs(scale * measured - reference) ** 2))
+
+
+class TestGainAndError:
+    def test_identical_sequences(self):
+        ref = np.array([1 + 1j, -1 + 1j, 0.5 - 0.25j])
+        assert evm_error_energy(ref, ref) == pytest.approx(0.0, abs=1e-12)
+
+    def test_pure_gain_is_not_error(self):
+        ref = np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j])
+        assert evm_error_energy(2.0 * ref, ref) == pytest.approx(0.0, abs=1e-9)
+
+    def test_fixed_offset_four_symbols(self):
+        """Offset orthogonal to the reference on average: closed-form value
+        evaluated inline with plain complex arithmetic."""
+        ref = [1 + 0j, 1j, -1 + 0j, -1j]
+        meas = [r + 0.05 for r in ref]
+        scale = sum(m.conjugate() * r for m, r in zip(meas, ref)) / sum(
+            abs(m) ** 2 for m in meas)
+        expected = sum(abs(scale * m - r) ** 2 for m, r in zip(meas, ref))
+        got = evm_error_energy(np.array(meas), np.array(ref))
+        assert got == pytest.approx(expected, abs=1e-12)
+        # unit-energy reference: 4 symbols carry 4 units, so EVM = 5%
+        assert 100.0 * math.sqrt(got / 4.0) == pytest.approx(5.0, abs=0.1)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3,
+                              allow_nan=False, allow_infinity=False))
+    def test_invariant_under_complex_scaling(self, scale):
+        rng = np.random.default_rng(17)
+        ref = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+        meas = ref + 0.1 * (rng.standard_normal(64) + 1j * rng.standard_normal(64))
+        base = evm_error_energy(meas, ref)
+        assert evm_error_energy(scale * meas, ref) == pytest.approx(base, rel=1e-6)
+
+    def test_silent_measurement_is_all_error(self):
+        ref = np.array([1 + 1j, -1 + 1j])
+        assert evm_error_energy(np.zeros(2, dtype=complex), ref) == pytest.approx(4.0)
+
+    def test_matches_direct_oracle_on_random_signals(self):
+        """32k symbols at 100% and 10% EVM agree to 1e-12 relative. The sums
+        form subtracts two near-equal sums, so at any EVM its error stays
+        within a few ulps of the reference energy."""
+        rng = np.random.default_rng(23)
+        n = 32768
+        ref = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        energy = np.sum(np.abs(ref) ** 2)
+        for noise in (1.0, 0.1, 1e-4):
+            meas = (0.3 - 0.7j) * (ref + noise * (rng.standard_normal(n)
+                                                  + 1j * rng.standard_normal(n)))
+            got = evm_error_energy(meas, ref)
+            expected = direct_error_energy(meas, ref)
+            if noise >= 0.1:
+                assert got == pytest.approx(expected, rel=1e-12, abs=0)
+            assert abs(got - expected) <= 1e-14 * energy
+
+    def test_rounding_below_zero_reads_zero(self):
+        """Scaled copies of a 16-QAM reference carry no error; the sums leave
+        some of them a residue below zero, which reads as zero."""
+        rng = np.random.default_rng(3)
+        ref = build_constellation(16).points[rng.integers(0, 16, 32768)]
+        energy = np.sum(ref.real ** 2 + ref.imag ** 2)
+        raw, errors = [], []
+        for gain in rng.uniform(0.01, 100.0, 64):
+            meas = gain * ref
+            c = np.sum(np.conj(ref) * meas)
+            raw.append(energy - abs(c) ** 2 / np.sum(meas.real ** 2 + meas.imag ** 2))
+            errors.append(evm_error_energy(meas, ref))
+        assert min(raw) < 0.0
+        assert min(errors) == 0.0
+        assert errors == [max(0.0, r) for r in raw]
+
+    def test_gain_is_the_projection_on_the_reference(self):
+        rng = np.random.default_rng(5)
+        ref = rng.standard_normal(100) + 1j * rng.standard_normal(100)
+        energy = np.sum(ref.real ** 2 + ref.imag ** 2)
+        norm, _ = simulate._gain_and_error((2 - 1j) * ref, ref, energy)
+        np.testing.assert_allclose(norm, ref, rtol=1e-13)
+        silent, error = simulate._gain_and_error(np.zeros(100, complex), ref, energy)
+        assert not silent.any() and error == energy
 
 
 class _CountingGenerator:
@@ -430,6 +562,30 @@ class TestSymbolRateBlocks:
                 monkeypatch.setenv("QAMLINK_THREADS", threads)
                 run_link_sim(config)
                 assert len(calls) == 4, (ebn0, threads)
+
+    def test_ber_sweep_runs_no_pulse_shape(self, monkeypatch, tmp_path):
+        """qpsk.cfg at 200 kbit: all 4 blocks lie in the window, so simulate
+        shapes each at full rate, and ber-sweep shapes none."""
+        real = simulate.pulse_shape
+        config = load_config(str(QPSK_CFG)).sim_config(n_bits=200_000)
+        ctx = simulate._build_context(config)
+        starts = np.cumsum([0] + simulate._block_sizes(ctx.n_symbols)[:-1])
+        window_blocks = int(np.count_nonzero(starts * ctx.sps < ctx.psd_samples))
+        assert window_blocks == 4
+        common = ["--config", str(QPSK_CFG), "--bits", "200000", "--out", str(tmp_path)]
+        for threads in ("1", "2"):
+            calls = []
+
+            def counting(*args):
+                calls.append(args)
+                return real(*args)
+
+            monkeypatch.setattr(simulate, "pulse_shape", counting)
+            monkeypatch.setenv("QAMLINK_THREADS", threads)
+            assert cli.main(["ber-sweep", "--from", "6", "--to", "8", *common]) == 0
+            assert len(calls) == 0, threads
+            assert cli.main(["simulate", *common]) == 0
+            assert len(calls) == window_blocks, threads
 
     def test_symbol_rate_blocks_match_full_rate_run(self, monkeypatch):
         """Noise off, compressing PA: the window's 4 blocks plus 3 later ones."""
