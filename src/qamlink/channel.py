@@ -1,4 +1,4 @@
-"""Free-space propagation, thermal noise floor, and counter-based noise streams."""
+"""Free-space propagation, thermal noise floor, and seeded SFC64 noise streams."""
 
 from __future__ import annotations
 
@@ -12,6 +12,8 @@ from .units import GainDb, PowerDbm, THERMAL_NOISE_DBM_PER_HZ, wavelength
 
 # Below this many wavelengths the far-field model is dubious; flagged, not fatal.
 NEAR_FIELD_WAVELENGTHS = 10.0
+
+_MASK64 = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -60,11 +62,16 @@ def noise_floor(bandwidth_hz: float, nf_db: float) -> PowerDbm:
 
 
 def noise_generator(seed: int, stream: int) -> np.random.Generator:
-    """Counter-based RNG; distinct (seed, stream) pairs give non-overlapping,
-    reproducible sequences, so parallel blocks can draw independently."""
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, stream & 0xFFFFFFFFFFFFFFFF],
-                   dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """SFC64 generator keyed by (seed, stream), so parallel blocks draw
+    independently and reproducibly.
+
+    The seed, taken mod 2**64, is the SeedSequence entropy and the stream its
+    spawn key. The two are hashed apart, so distinct pairs give distinct
+    sequences; a list key [seed, stream] would not, as [2**32 + 1, 0] and
+    [1, 1] pack to the same entropy words.
+    """
+    return np.random.Generator(np.random.SFC64(
+        np.random.SeedSequence(seed & _MASK64, spawn_key=(stream,))))
 
 
 def complex_noise(rng: np.random.Generator, shape, variance_watts: float) -> np.ndarray:

@@ -1,5 +1,11 @@
-"""Square-QAM constellations, bit mapping and hard demapping, and
-closed-form bit-error-rate curves."""
+"""Square-QAM constellations, symbol mapping and hard demapping, and
+closed-form bit-error-rate curves.
+
+Symbols travel as labels: a label is one uint8 that packs a symbol's
+bits_per_symbol bits MSB first, and it indexes ``ConstellationMap.points``.
+A bit error count between two label arrays is the popcount of their XOR, so
+the bits are never unpacked.
+"""
 
 from __future__ import annotations
 
@@ -21,7 +27,8 @@ def _gray(n):
 class ConstellationMap:
     """Gray-coded square-QAM symbol table with unit average energy.
 
-    ``points[label]`` is the complex amplitude for an N-bit label. The upper
+    ``points[label]`` is the complex amplitude for an N-bit label, the
+    symbol's bits packed MSB first into one uint8. The upper
     N/2 bits of the label select the I level and the lower N/2 bits the Q
     level; each axis carries an independent reflected-Gray code, so grid
     neighbours differ in exactly one bit.
@@ -31,7 +38,7 @@ class ConstellationMap:
     bits_per_symbol: int
     points: np.ndarray       # complex128, indexed by symbol label
     axis_levels: np.ndarray  # ascending coordinate levels shared by I and Q
-    axis_labels: np.ndarray  # Gray label carried by each axis level
+    axis_labels: np.ndarray  # uint8 Gray label carried by each axis level
 
 
 def build_constellation(order: int) -> ConstellationMap:
@@ -43,7 +50,7 @@ def build_constellation(order: int) -> ConstellationMap:
     half = n_bits // 2
 
     level_index = np.arange(side)
-    labels = _gray(level_index)
+    labels = _gray(level_index).astype(np.uint8)
     # grid ..., -3, -1, +1, +3, ... scaled so the mean symbol energy is one
     coords = (2.0 * level_index - (side - 1)) / math.sqrt(2.0 * (order - 1) / 3.0)
 
@@ -57,19 +64,13 @@ def build_constellation(order: int) -> ConstellationMap:
     return ConstellationMap(order, n_bits, points, coords, labels)
 
 
-def map_bits(bits, cmap: ConstellationMap) -> np.ndarray:
-    """Map a {0,1} sequence onto constellation points, MSB first per symbol."""
-    bits = np.asarray(bits, dtype=np.uint8)
-    if bits.ndim != 1:
-        raise ValueError("bits must be one-dimensional")
-    if bits.size % cmap.bits_per_symbol:
-        raise ValueError(
-            f"bit count {bits.size} is not a multiple of {cmap.bits_per_symbol}")
-    if bits.size == 0:
-        return np.empty(0, dtype=np.complex128)
-    groups = bits.reshape(-1, cmap.bits_per_symbol).astype(np.int64)
-    weights = 1 << np.arange(cmap.bits_per_symbol - 1, -1, -1)
-    return cmap.points[groups @ weights]
+def map_bits(labels, cmap: ConstellationMap) -> np.ndarray:
+    """Constellation points of packed symbol labels.
+
+    Each label is one uint8 holding a symbol's bits MSB first; a label at or
+    above ``cmap.order`` raises IndexError.
+    """
+    return cmap.points[labels]
 
 
 def _nearest_axis_label(values: np.ndarray, cmap: ConstellationMap) -> np.ndarray:
@@ -92,14 +93,12 @@ def _nearest_axis_label(values: np.ndarray, cmap: ConstellationMap) -> np.ndarra
 
 
 def demap_hard(symbols, cmap: ConstellationMap) -> np.ndarray:
-    """Hard-decision demapping to bits by nearest constellation point."""
+    """Hard decision by nearest constellation point, as packed uint8 labels
+    in the layout ``map_bits`` takes."""
     symbols = np.asarray(symbols, dtype=np.complex128)
     half = cmap.bits_per_symbol // 2
-    labels = (_nearest_axis_label(symbols.real, cmap) << half) | _nearest_axis_label(
+    return (_nearest_axis_label(symbols.real, cmap) << half) | _nearest_axis_label(
         symbols.imag, cmap)
-    # every supported order has at most 8 bits per symbol
-    bits = np.unpackbits(labels.astype(np.uint8)[:, None], axis=1)
-    return bits[:, 8 - cmap.bits_per_symbol:].reshape(-1)
 
 
 def theoretical_ber(order: int, ebn0_db):

@@ -1,6 +1,6 @@
 """End-to-end complex-baseband Monte-Carlo simulation of the link:
-bits -> QAM -> pulse shaping -> TX chain -> free space + AWGN -> RX chain ->
-demapping, with BER, EVM, spectrum, and constellation outputs.
+symbol labels -> QAM -> pulse shaping -> TX chain -> free space + AWGN ->
+RX chain -> demapping, with BER, EVM, spectrum, and constellation outputs.
 
 The pulse shaper is a polyphase bank of symbol-rate FIRs. All its phases
 give the full-rate waveform, which only the blocks feeding the spectrum
@@ -8,13 +8,15 @@ window compute; one phase gives the symbol instants. A caller that reads
 no PSD or TX power (a BER sweep) asks for no window, and then every block
 runs at the symbol instants. Every later stage is memoryless, so a block
 keeps only its symbol instants from there on. Every block normalises its
-drive on a closed form of its full-rate pulse power; calibrated AWGN is
-referred to the link budget's received power.
+drive on a closed form of its full-rate pulse power between the guards, the
+samples it transmits; calibrated AWGN is referred to the link budget's
+received power.
 
-The run is split into fixed-size symbol blocks. Every block draws its bits
-and noise from counter-based RNG streams keyed by (seed, block, purpose), so
-results are bit-identical regardless of how many worker threads execute the
-blocks.
+The run is split into fixed-size symbol blocks. Every block draws its
+symbols as packed uint8 labels and carries them to the error count, the
+popcount of their XOR with the demapped labels. Labels and noise come from
+SFC64 streams keyed by (seed, block, purpose), so results are bit-identical
+regardless of how many worker threads execute the blocks.
 """
 
 from __future__ import annotations
@@ -280,18 +282,20 @@ class _SymbolRatePulse:
         lead, phase = divmod(self.sps // 2 + self.delay, self.sps)
         return self._filter(symbols, phase)[first + lead:first + lead + n]
 
-    def mean_power(self, s: np.ndarray) -> float:
-        """Mean of |pulse_shape(s)|**2, in closed form."""
+    def mean_power(self, s: np.ndarray, guard: int) -> float:
+        """Mean of |pulse_shape(s)|**2 between ``guard`` symbols at each end,
+        in closed form."""
         energy = self.acf[0] * _real_dot(s, s)
         for lag in range(1, min(self.acf.size, s.size)):
             energy += 2.0 * self.acf[lag] * _real_dot(s[:-lag], s[lag:])
-        # less the samples dropped at each end, from the K symbols that reach them
-        k = self.bank.shape[1]
-        head = self.full(s[:k])[:self.delay]
+        # less the samples outside that span, from the guard + K symbols at
+        # each end that reach them
+        k = guard + self.bank.shape[1]
+        head = self.full(s[:k])[:self.delay + guard * self.sps]
         end = s[-k:]
-        tail = self.full(end)[end.size * self.sps + self.delay:]
+        tail = self.full(end)[(end.size - guard) * self.sps + self.delay:]
         energy -= _real_dot(head, head) + _real_dot(tail, tail)
-        return energy / (s.size * self.sps)
+        return energy / ((s.size - 2 * guard) * self.sps)
 
 
 @dataclass(frozen=True)
@@ -388,14 +392,15 @@ def _build_context(config: SimConfig, window: bool = True) -> _Context:
 
 
 def _gain_and_error(measured: np.ndarray, reference: np.ndarray,
-                    reference_energy: float) -> tuple[np.ndarray, float]:
-    """Measured samples divided by the data-aided complex gain estimate, and
-    the EVM error energy min_a sum |a * measured - reference|**2.
+                    reference_energy: float) -> tuple[complex, float]:
+    """The data-aided complex gain estimate of measured against reference,
+    and the EVM error energy min_a sum |a * measured - reference|**2.
 
     Both come from c = sum(conj(reference) * measured). The gain is
     c / reference_energy: projecting onto the known reference makes it
     unbiased under additive noise, unlike the EVM-minimizing scalar, which
-    shrinks by 1/(1 + 1/SNR) and would skew the outer decision regions. The
+    shrinks by 1/(1 + 1/SNR) and would skew the outer decision regions. A
+    silent signal has gain 1, so dividing by the gain is always defined. The
     error energy is reference_energy - |c|**2 / sum |measured|**2, so bulk
     gain and phase are not error; it is clamped at 0 against rounding.
     """
@@ -403,32 +408,32 @@ def _gain_and_error(measured: np.ndarray, reference: np.ndarray,
     power = np.sum(measured.real ** 2 + measured.imag ** 2)
     error = max(0.0, reference_energy - abs(c) ** 2 / power) if power else reference_energy
     gain = c / reference_energy
-    return (measured / gain if gain != 0.0 else measured.copy()), float(error)
+    return (gain if gain != 0.0 else 1.0), float(error)
 
 
 def _tx_block(config: SimConfig, ctx: _Context, block: int, n_sym: int, *,
               full_rate: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Bits, mapped symbols, and post-chain waveform for one block.
+    """Symbol labels, mapped symbols, and post-chain waveform for one block.
 
     The waveform is full rate with guards on both ends, or else only its
     n_sym symbol instants, one phase of the pulse shaper's filter bank: every
     later TX stage is memoryless with white noise. Either way the drive is
-    normalised on the full-rate pulse's mean power, in closed form.
+    normalised on the full-rate pulse's mean power between the guards, in
+    closed form.
     """
     base = block * _STREAMS_PER_BLOCK
     bits_rng = noise_generator(config.seed, base + _STREAM_BITS)
     n_total = n_sym + 2 * ctx.guard_symbols
-    bits = bits_rng.integers(0, 2, size=n_total * ctx.cmap.bits_per_symbol,
-                             dtype=np.uint8)
-    symbols = map_bits(bits, ctx.cmap)
-    scale = math.sqrt(ctx.input_power_w / ctx.pulse.mean_power(symbols))
+    labels = bits_rng.integers(0, ctx.cmap.order, n_total, dtype=np.uint8)
+    symbols = map_bits(labels, ctx.cmap)
+    scale = math.sqrt(ctx.input_power_w / ctx.pulse.mean_power(symbols, ctx.guard_symbols))
     wave = (pulse_shape(symbols, config) if full_rate
             else ctx.pulse.at_instants(symbols, ctx.guard_symbols, n_sym))
     wave *= scale
     tx_rng = (noise_generator(config.seed, base + _STREAM_TX)
               if ctx.noise_mode == "thermal" else None)
     wave = chain_transfer(wave, ctx.tx_chain, ctx.bandwidth_hz, tx_rng)
-    return bits, symbols, wave
+    return labels, symbols, wave
 
 
 def _simulate_block(config: SimConfig, ctx: _Context, block: int, start_sym: int,
@@ -440,9 +445,9 @@ def _simulate_block(config: SimConfig, ctx: _Context, block: int, start_sym: int
 
     # the TX side runs at full rate where the spectrum window needs its samples
     full_rate = start_sym * sps < ctx.psd_samples
-    bits, symbols, tx = _tx_block(config, ctx, block, n_sym, full_rate=full_rate)
+    labels, symbols, tx = _tx_block(config, ctx, block, n_sym, full_rate=full_rate)
     ref = symbols[guard:guard + n_sym]
-    ref_bits = bits[guard * cmap.bits_per_symbol:(guard + n_sym) * cmap.bits_per_symbol]
+    ref_labels = labels[guard:guard + n_sym]
     # full-rate samples between the guards; none past the spectrum window
     tx_interior = tx[guard * sps:(guard + n_sym) * sps] if full_rate else tx[:0]
     tx_samples = tx_interior[sps // 2::sps] if full_rate else tx
@@ -463,11 +468,12 @@ def _simulate_block(config: SimConfig, ctx: _Context, block: int, start_sym: int
                                 ctx.channel_noise_var_w)
 
     ref_energy = np.sum(ref.real ** 2 + ref.imag ** 2)
-    tx_norm, tx_err_energy = _gain_and_error(tx_samples, ref, ref_energy)
-    rx_norm, rx_err_energy = _gain_and_error(rx_samples, ref, ref_energy)
+    tx_gain, tx_err_energy = _gain_and_error(tx_samples, ref, ref_energy)
+    rx_gain, rx_err_energy = _gain_and_error(rx_samples, ref, ref_energy)
+    rx_norm = rx_samples / rx_gain
 
-    rx_bits = demap_hard(rx_norm, cmap)
-    n_errors = int(np.count_nonzero(rx_bits != ref_bits))
+    rx_labels = demap_hard(rx_norm, cmap)
+    n_errors = int(np.bitwise_count(rx_labels ^ ref_labels).sum())
 
     cloud_take = max(0, min(n_sym, ctx.cloud_points - start_sym))
     psd_take = max(0, min(n_sym * sps, ctx.psd_samples - start_sym * sps))
@@ -478,7 +484,7 @@ def _simulate_block(config: SimConfig, ctx: _Context, block: int, start_sym: int
         rx_err_energy=rx_err_energy,
         tx_power_sum=float(np.sum(tx_interior.real ** 2 + tx_interior.imag ** 2)),
         tx_power_samples=tx_interior.size,
-        tx_cloud=tx_norm[:cloud_take].copy(),
+        tx_cloud=tx_samples[:cloud_take] / tx_gain,
         rx_cloud=rx_norm[:cloud_take].copy(),
         psd_chunk=tx_interior[:psd_take].copy(),
     )

@@ -128,3 +128,12 @@ class TestNoiseGenerator:
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
         assert not np.array_equal(a, d)
+
+    def test_seed_and_stream_are_keyed_apart(self):
+        """A key that packs (seed, stream) into one word list would give
+        (2**32 + 1, 0) and (1, 1) the same entropy words."""
+        a = noise_generator(2**32 + 1, 0).standard_normal(8)
+        b = noise_generator(1, 1).standard_normal(8)
+        assert not np.array_equal(a, b)
+        np.testing.assert_array_equal(noise_generator(-7, 3).standard_normal(8),
+                                      noise_generator(-7, 3).standard_normal(8))

@@ -72,27 +72,53 @@ class TestConstellation:
         assert checked == 2 * side * (side - 1)
 
 
+def pack_labels(bits, cmap):
+    """Labels of a {0,1} sequence, bits_per_symbol bits MSB first per label."""
+    groups = np.asarray(bits, dtype=np.uint8).reshape(-1, cmap.bits_per_symbol)
+    return np.packbits(groups, axis=1)[:, 0] >> (8 - cmap.bits_per_symbol)
+
+
+def unpack_labels(labels, cmap):
+    """The {0,1} sequence of packed labels, MSB first per label."""
+    bits = np.unpackbits(np.asarray(labels, dtype=np.uint8)[:, None], axis=1)
+    return bits[:, 8 - cmap.bits_per_symbol:].reshape(-1)
+
+
 class TestMapping:
-    def test_empty_bits(self):
+    def test_empty_labels(self):
         cmap = build_constellation(16)
-        assert map_bits([], cmap).size == 0
+        assert map_bits(np.empty(0, dtype=np.uint8), cmap).size == 0
 
     def test_all_zero_byte_maps_to_label_zero(self):
         cmap = build_constellation(256)
-        assert map_bits(np.zeros(8, dtype=np.uint8), cmap)[0] == cmap.points[0]
+        labels = pack_labels(np.zeros(8, dtype=np.uint8), cmap)
+        assert labels.dtype == np.uint8
+        assert map_bits(labels, cmap)[0] == cmap.points[0]
 
     def test_random_bits_land_on_constellation(self):
         cmap = build_constellation(16)
         rng = np.random.default_rng(5)
-        symbols = map_bits(rng.integers(0, 2, 16, dtype=np.uint8), cmap)
+        symbols = map_bits(pack_labels(rng.integers(0, 2, 16, dtype=np.uint8), cmap), cmap)
         assert symbols.size == 4
         for s in symbols:
             assert np.min(np.abs(cmap.points - s)) < 1e-12
 
-    def test_ragged_bit_count_rejected(self):
-        cmap = build_constellation(16)
-        with pytest.raises(ValueError):
-            map_bits([0, 1, 0], cmap)
+    # a uint8 label cannot reach 256
+    @pytest.mark.parametrize("order", (4, 16, 64))
+    def test_label_at_or_above_order_rejected(self, order):
+        cmap = build_constellation(order)
+        for bad in (order, 255):
+            with pytest.raises(IndexError):
+                map_bits(np.array([0, bad], dtype=np.uint8), cmap)
+
+    @orders
+    def test_every_label_roundtrips(self, order):
+        cmap = build_constellation(order)
+        labels = np.arange(order, dtype=np.uint8)
+        got = demap_hard(map_bits(labels, cmap), cmap)
+        assert got.dtype == np.uint8
+        np.testing.assert_array_equal(got, labels)
+        np.testing.assert_array_equal(pack_labels(unpack_labels(labels, cmap), cmap), labels)
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from(SUPPORTED_ORDERS), st.data())
@@ -104,17 +130,32 @@ class TestMapping:
                                min_size=n_sym * cmap.bits_per_symbol,
                                max_size=n_sym * cmap.bits_per_symbol)),
             dtype=np.uint8)
-        assert np.array_equal(demap_hard(map_bits(bits, cmap), cmap), bits)
+        labels = demap_hard(map_bits(pack_labels(bits, cmap), cmap), cmap)
+        assert np.array_equal(unpack_labels(labels, cmap), bits)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(SUPPORTED_ORDERS), st.data())
+    def test_label_popcount_counts_bit_errors(self, order, data):
+        """The simulator's error count, popcount(a ^ b), is the number of
+        unpacked bits that differ."""
+        cmap = build_constellation(order)
+        n_sym = data.draw(st.integers(min_value=0, max_value=64))
+        pairs = data.draw(st.lists(
+            st.tuples(st.integers(0, order - 1), st.integers(0, order - 1)),
+            min_size=n_sym, max_size=n_sym))
+        a, b = np.array(pairs, dtype=np.uint8).reshape(-1, 2).T
+        mismatches = np.count_nonzero(unpack_labels(a, cmap) != unpack_labels(b, cmap))
+        assert np.bitwise_count(a ^ b).sum() == mismatches
 
     def test_small_displacement_keeps_bits(self):
         cmap = build_constellation(256)
         rng = np.random.default_rng(11)
         bits = rng.integers(0, 2, 8 * 500, dtype=np.uint8)
-        symbols = map_bits(bits, cmap)
+        symbols = map_bits(pack_labels(bits, cmap), cmap)
         angles = rng.uniform(0, 2 * np.pi, symbols.size)
         step = cmap.axis_levels[1] - cmap.axis_levels[0]
         offset = 0.49 * step / 2.0 * np.exp(1j * angles)
-        assert np.array_equal(demap_hard(symbols + offset, cmap), bits)
+        assert np.array_equal(unpack_labels(demap_hard(symbols + offset, cmap), cmap), bits)
 
     @orders
     def test_midpoint_tie_goes_to_smaller_label(self, order):
@@ -128,8 +169,8 @@ class TestMapping:
             winner = min((labels[k] << half) | q_label,
                          (labels[k + 1] << half) | q_label)
             got = demap_hard(sample, cmap)
-            expected = ((winner >> np.arange(cmap.bits_per_symbol - 1, -1, -1)) & 1)
-            assert np.array_equal(got, expected.astype(np.uint8))
+            assert got.dtype == np.uint8
+            np.testing.assert_array_equal(got, [winner])
 
     @orders
     def test_demap_matches_sorted_search_oracle(self, order):
@@ -160,11 +201,9 @@ class TestMapping:
         symbols.real, symbols.imag = i_axis, q_axis  # 1j * inf would carry a NaN
         half = cmap.bits_per_symbol // 2
         label = (oracle_labels(i_axis) << half) | oracle_labels(q_axis)
-        shifts = np.arange(cmap.bits_per_symbol - 1, -1, -1)
-        expected = ((label[:, None] >> shifts) & 1).astype(np.uint8).reshape(-1)
         got = demap_hard(symbols, cmap)
         assert got.dtype == np.uint8
-        np.testing.assert_array_equal(got, expected)
+        np.testing.assert_array_equal(got, label)
 
 
 class TestBandwidthPlan:

@@ -299,8 +299,8 @@ class TestRunLinkSim:
         monkeypatch.setattr(simulate, "complex_noise", recording)
         result = run_link_sim(config)
         assert variances == [pytest.approx(expected, rel=1e-12, abs=0)] * 4
-        # tx_power_dbm is measured between the block guards, the drive
-        # normalised over whole blocks
+        # the drive is normalised on the samples between the block guards,
+        # where tx_power_dbm is measured
         drop = scenario.tx_power_dbm - result.tx_power_dbm
         if pa_linear:
             assert drop == pytest.approx(0.0, abs=1e-4)
@@ -457,10 +457,10 @@ class TestGainAndError:
         rng = np.random.default_rng(5)
         ref = rng.standard_normal(100) + 1j * rng.standard_normal(100)
         energy = np.sum(ref.real ** 2 + ref.imag ** 2)
-        norm, _ = simulate._gain_and_error((2 - 1j) * ref, ref, energy)
-        np.testing.assert_allclose(norm, ref, rtol=1e-13)
-        silent, error = simulate._gain_and_error(np.zeros(100, complex), ref, energy)
-        assert not silent.any() and error == energy
+        gain, _ = simulate._gain_and_error((2 - 1j) * ref, ref, energy)
+        np.testing.assert_allclose((2 - 1j) * ref / gain, ref, rtol=1e-13)
+        gain, error = simulate._gain_and_error(np.zeros(100, complex), ref, energy)
+        assert gain == 1.0 and error == energy
 
 
 class _CountingGenerator:
@@ -529,8 +529,11 @@ class TestSymbolRateBlocks:
                                        atol=1e-12 * np.max(np.abs(oracle)))
             at_instants = ctx.pulse.at_instants(symbols, ctx.guard_symbols, n_sym)
             np.testing.assert_array_equal(at_instants, block_instants(full, ctx, n_sym))
-            power = np.mean(oracle.real ** 2 + oracle.imag ** 2)
-            assert ctx.pulse.mean_power(symbols) == pytest.approx(power, rel=1e-12, abs=0)
+            for guard in (0, ctx.guard_symbols):
+                span = oracle[guard * sps:oracle.size - guard * sps]
+                power = np.mean(span.real ** 2 + span.imag ** 2)
+                assert ctx.pulse.mean_power(symbols, guard) == pytest.approx(
+                    power, rel=1e-12, abs=0)
 
     def test_paper_pulse_is_a_three_tap_fir(self):
         """An isolated symbol reaches three instants: its own and one either side."""
