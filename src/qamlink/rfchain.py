@@ -25,6 +25,10 @@ _COMPRESSION_1DB = 1.0 - 10.0 ** (-1.0 / 20.0)
 # quoted constant and the waveform model agree to within 0.04 dB.
 OIP3_OVER_P1DB_DB = 10.6
 
+# Samples per chunk of chain_transfer: a run's temporaries stay a few MB
+# however long the input.
+_CHUNK_SAMPLES = 1 << 15
+
 
 @dataclass(frozen=True)
 class StageSpec:
@@ -166,30 +170,50 @@ def chain_transfer(x, chain: ChainSpec, bandwidth_hz: float | None = None,
     one gain and one output-referred noise variance. Both are applied once,
     just before the next compressing stage or at the chain output: the
     output has the same distribution as with a draw after every stage.
+
+    Every stage is elementwise, so a run is applied ``_CHUNK_SAMPLES`` at a
+    time into one output array; the chunks of a run draw its noise in turn,
+    and consecutive draws from one generator equal one whole draw. The input
+    is never written; it is returned as is when no run does any work.
     """
     y = np.asarray(x, dtype=np.complex128)
+    out = None
+    for gain, noise_w, stage in _folded_runs(chain, bandwidth_hz, rng is not None,
+                                             input_noise_watts):
+        if gain == 1.0 and noise_w == 0.0 and stage is None:
+            continue
+        if out is None:
+            out = np.empty(y.shape, np.complex128)
+            src = y.reshape(-1)
+        else:
+            src = out.reshape(-1)
+        dst = out.reshape(-1)
+        for start in range(0, dst.size, _CHUNK_SAMPLES):
+            seg = dst[start:start + _CHUNK_SAMPLES]
+            part = src[start:start + _CHUNK_SAMPLES]
+            if gain != 1.0:
+                part = np.multiply(part, gain, out=seg)
+            if noise_w > 0.0:
+                part = np.add(part, complex_noise(rng, seg.size, noise_w), out=seg)
+            if stage is not None:
+                seg[...] = amplifier_transfer(part, stage)
+    return y if out is None else out
+
+
+def _folded_runs(chain: ChainSpec, bandwidth_hz: float | None, noisy: bool,
+                 input_noise_watts: float):
+    """(voltage gain, output-referred noise variance, compressing stage or
+    None) of each run: its folded linear stages, then the stage ending it."""
     gain = 1.0
-    noise_w = input_noise_watts if rng is not None else 0.0
+    noise_w = input_noise_watts if noisy else 0.0
     for stage in chain.stages:
         if stage.is_nonlinear:
-            y = amplifier_transfer(_linear_run(y, gain, noise_w, rng), stage)
+            yield gain, noise_w, stage
             gain, noise_w = 1.0, 0.0
         else:
             g = 10.0 ** (stage.gain_db / 20.0)
             gain *= g
             noise_w *= g * g
-        if rng is not None and bandwidth_hz is not None:
+        if noisy and bandwidth_hz is not None:
             noise_w += stage_added_noise_watts(stage, bandwidth_hz)
-    return _linear_run(y, gain, noise_w, rng)
-
-
-def _linear_run(y: np.ndarray, gain: float, noise_w: float,
-                rng: np.random.Generator | None) -> np.ndarray:
-    """Folded linear stages: voltage gain, then one output-referred noise draw."""
-    if gain != 1.0:
-        y = y * gain
-    if noise_w > 0.0:
-        noise = complex_noise(rng, y.shape, noise_w)
-        noise += y
-        y = noise
-    return y
+    yield gain, noise_w, None

@@ -4,9 +4,10 @@ RX chain -> demapping, with BER, EVM, spectrum, and constellation outputs.
 
 The pulse shaper is a polyphase bank of symbol-rate FIRs. All its phases
 give the full-rate waveform, which only the blocks feeding the spectrum
-window compute; one phase gives the symbol instants. A caller that reads
-no PSD or TX power (a BER sweep) asks for no window, and then every block
-runs at the symbol instants. Every later stage is memoryless, so a block
+window compute, each writing its samples into the one window array; one
+phase gives the symbol instants. A caller that reads no PSD or TX power (a
+BER sweep) asks for no window, and then every block runs at the symbol
+instants. Every later stage is memoryless, so a block
 keeps only its symbol instants from there on. Every block normalises its
 drive on a closed form of its full-rate pulse power between the guards, the
 samples it transmits; calibrated AWGN is referred to the link budget's
@@ -331,7 +332,6 @@ class _BlockStats:
     tx_power_samples: int  # 0 unless the block's TX side ran at full rate
     tx_cloud: np.ndarray
     rx_cloud: np.ndarray
-    psd_chunk: np.ndarray
 
 
 def _block_sizes(n_symbols: int) -> list[int]:
@@ -436,12 +436,24 @@ def _tx_block(config: SimConfig, ctx: _Context, block: int, n_sym: int, *,
     return labels, symbols, wave
 
 
-def _simulate_block(config: SimConfig, ctx: _Context, block: int, start_sym: int,
+def _window_interior(ctx: _Context, tx_window: np.ndarray, block: int, n_sym: int,
+                     tx: np.ndarray) -> np.ndarray:
+    """A full-rate block's samples between its guards; the part of them that
+    falls in the spectrum window is written into ``tx_window``."""
+    first = ctx.guard_symbols * ctx.sps
+    interior = tx[first:first + n_sym * ctx.sps]
+    dest = tx_window[block * _SYMBOLS_PER_BLOCK * ctx.sps:][:interior.size]
+    dest[...] = interior[:dest.size]
+    return interior
+
+
+def _simulate_block(config: SimConfig, ctx: _Context, tx_window: np.ndarray, block: int,
                     n_sym: int) -> _BlockStats:
     cmap = ctx.cmap
     guard = ctx.guard_symbols
     sps = ctx.sps
     base = block * _STREAMS_PER_BLOCK
+    start_sym = block * _SYMBOLS_PER_BLOCK
 
     # the TX side runs at full rate where the spectrum window needs its samples
     full_rate = start_sym * sps < ctx.psd_samples
@@ -449,8 +461,11 @@ def _simulate_block(config: SimConfig, ctx: _Context, block: int, start_sym: int
     ref = symbols[guard:guard + n_sym]
     ref_labels = labels[guard:guard + n_sym]
     # full-rate samples between the guards; none past the spectrum window
-    tx_interior = tx[guard * sps:(guard + n_sym) * sps] if full_rate else tx[:0]
-    tx_samples = tx_interior[sps // 2::sps] if full_rate else tx
+    if full_rate:
+        tx_interior = _window_interior(ctx, tx_window, block, n_sym, tx)
+        tx_samples = tx_interior[sps // 2::sps]
+    else:
+        tx_interior, tx_samples = tx[:0], tx
 
     # from here on every stage is memoryless and every noise draw white per
     # sample, so the channel and the RX chain run on the symbol instants:
@@ -476,17 +491,15 @@ def _simulate_block(config: SimConfig, ctx: _Context, block: int, start_sym: int
     n_errors = int(np.bitwise_count(rx_labels ^ ref_labels).sum())
 
     cloud_take = max(0, min(n_sym, ctx.cloud_points - start_sym))
-    psd_take = max(0, min(n_sym * sps, ctx.psd_samples - start_sym * sps))
     return _BlockStats(
         n_errors=n_errors,
         ref_energy=float(ref_energy),
         tx_err_energy=tx_err_energy,
         rx_err_energy=rx_err_energy,
-        tx_power_sum=float(np.sum(tx_interior.real ** 2 + tx_interior.imag ** 2)),
+        tx_power_sum=float(_real_dot(tx_interior, tx_interior)),
         tx_power_samples=tx_interior.size,
         tx_cloud=tx_samples[:cloud_take] / tx_gain,
         rx_cloud=rx_norm[:cloud_take].copy(),
-        psd_chunk=tx_interior[:psd_take].copy(),
     )
 
 
@@ -502,6 +515,12 @@ def worker_count(n_jobs: int) -> int:
     return max(1, min(cap, n_jobs))
 
 
+def _run_blocks(job, n_blocks: int) -> list:
+    """job(block) for every block on one thread pool, results in block order."""
+    with ThreadPoolExecutor(max_workers=worker_count(n_blocks)) as pool:
+        return list(pool.map(job, range(n_blocks)))
+
+
 def run_link_sim(config: SimConfig, *, window: bool = True) -> SimResult:
     """Run the Monte-Carlo link simulation described by config.
 
@@ -512,13 +531,9 @@ def run_link_sim(config: SimConfig, *, window: bool = True) -> SimResult:
     """
     ctx = _build_context(config, window)
     sizes = _block_sizes(ctx.n_symbols)
-    n_blocks = len(sizes)
-
-    def job(i: int) -> _BlockStats:
-        return _simulate_block(config, ctx, i, _SYMBOLS_PER_BLOCK * i, sizes[i])
-
-    with ThreadPoolExecutor(max_workers=worker_count(n_blocks)) as pool:
-        stats = list(pool.map(job, range(n_blocks)))
+    tx_window = np.empty(ctx.psd_samples, np.complex128)
+    stats = _run_blocks(lambda i: _simulate_block(config, ctx, tx_window, i, sizes[i]),
+                        len(sizes))
 
     n_errors = sum(s.n_errors for s in stats)
     ref_energy = sum(s.ref_energy for s in stats)
@@ -531,7 +546,7 @@ def run_link_sim(config: SimConfig, *, window: bool = True) -> SimResult:
         ber_confidence=wilson_interval(n_errors, config.n_bits),
         tx_evm_pct=100.0 * math.sqrt(tx_err / ref_energy),
         rx_evm_pct=100.0 * math.sqrt(rx_err / ref_energy),
-        tx_waveform=np.concatenate([s.psd_chunk for s in stats]),
+        tx_waveform=tx_window,
         tx_constellation=np.concatenate([s.tx_cloud for s in stats]),
         rx_constellation=np.concatenate([s.rx_cloud for s in stats]),
         n_bits_run=config.n_bits,
@@ -548,14 +563,16 @@ def transmit_waveform(config: SimConfig) -> tuple[np.ndarray, float]:
     Uses the same blocks and per-block RNG streams as run_link_sim, so the
     waveform is the one the full simulation would transmit, up to the same
     1 M-sample spectrum window. Only the blocks needed for that window run,
-    one after another.
+    on the same block pool, each writing into the window.
     """
     ctx = _build_context(config)
-    wanted = ctx.psd_samples
-    n_needed = math.ceil(wanted / (_SYMBOLS_PER_BLOCK * ctx.sps))
-    pieces = []
-    for block, n_sym in enumerate(_block_sizes(ctx.n_symbols)[:n_needed]):
-        _, _, wave = _tx_block(config, ctx, block, n_sym, full_rate=True)
-        pieces.append(wave[ctx.guard_symbols * ctx.sps:(ctx.guard_symbols + n_sym) * ctx.sps])
-    wave = np.concatenate(pieces)[:wanted]
-    return wave, ctx.sample_rate_hz
+    tx_window = np.empty(ctx.psd_samples, np.complex128)
+    n_needed = math.ceil(tx_window.size / (_SYMBOLS_PER_BLOCK * ctx.sps))
+    sizes = _block_sizes(ctx.n_symbols)[:n_needed]
+
+    def job(block: int) -> None:
+        _, _, tx = _tx_block(config, ctx, block, sizes[block], full_rate=True)
+        _window_interior(ctx, tx_window, block, sizes[block], tx)
+
+    _run_blocks(job, len(sizes))
+    return tx_window, ctx.sample_rate_hz

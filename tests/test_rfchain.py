@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qamlink.channel import complex_noise, noise_floor, noise_generator
+from qamlink import rfchain
 from qamlink.config import default_rx_stages, default_tx_stages, load_config
 from qamlink.rfchain import (
     ChainSpec,
@@ -268,3 +269,58 @@ class TestMergedNoise:
             var * db_to_linear(sum(s.gain_db for s in BOM_RX.stages[first:]))
             for var, first in sources)
         assert np.mean(np.abs(y) ** 2) == pytest.approx(expected, rel=0.02)
+
+
+def whole_array_chain(x, chain, bandwidth_hz, rng, input_noise_watts):
+    """The folded chain applied to whole arrays: each run's gain and one
+    noise draw of the full length, then its compressing stage."""
+    y = np.asarray(x, dtype=complex)
+    gain = 1.0
+    noise_w = input_noise_watts if rng is not None else 0.0
+
+    def run(y):
+        if gain != 1.0:
+            y = y * gain
+        if noise_w > 0.0:
+            y = y + complex_noise(rng, y.shape, noise_w)
+        return y
+
+    for stage in chain.stages:
+        if stage.is_nonlinear:
+            y = amplifier_transfer(run(y), stage)
+            gain, noise_w = 1.0, 0.0
+        else:
+            g = 10.0 ** (stage.gain_db / 20.0)
+            gain *= g
+            noise_w *= g * g
+        if rng is not None:
+            noise_w += stage_added_noise_watts(stage, bandwidth_hz)
+    return run(y)
+
+
+class TestChunkedChain:
+    """chain_transfer works a chunk at a time; its output must equal the
+    whole-array fold bit for bit, noise draws included."""
+
+    BW = 250e6
+    C = rfchain._CHUNK_SAMPLES
+
+    # drives that push the PA and the LNA well into compression
+    CHAINS = {"tx": (lambda cfg: cfg.tx_stages, 0.0, 0.0),
+              "rx": (lambda cfg: cfg.rx_stages, -10.0, dbm_to_watts(noise_floor(BW, 0.0)))}
+
+    @pytest.mark.parametrize("size", [0, 1, C - 1, C, C + 1, 3 * C + 5])
+    @pytest.mark.parametrize("noisy", [False, True])
+    @pytest.mark.parametrize("side", ["tx", "rx"])
+    def test_matches_whole_array_fold(self, side, noisy, size):
+        stages, drive_dbm, input_noise_watts = self.CHAINS[side]
+        chain = ChainSpec(tuple(stages(load_config(str(PAPER_CFG)))))
+        base = complex_noise(noise_generator(3, size), 3 * size, dbm_to_watts(drive_dbm))
+        for x in (base[:size], base[::3]):
+            before = base.copy()
+            rngs = [noise_generator(5, 1) if noisy else None for _ in range(2)]
+            y = chain_transfer(x, chain, self.BW, rngs[0], input_noise_watts)
+            expected = whole_array_chain(x, chain, self.BW, rngs[1], input_noise_watts)
+            assert y.shape == (size,)
+            np.testing.assert_array_equal(y, expected)
+            np.testing.assert_array_equal(base, before)

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -325,13 +326,58 @@ class TestRunLinkSim:
         expected = real(result.tx_waveform, result.sample_rate_hz)
         np.testing.assert_array_equal(psd, expected)
 
-    def test_transmit_waveform_matches_sim_prefix(self):
+    def test_transmit_waveform_matches_sim_prefix(self, monkeypatch):
         cfg = RunConfig()
         cfg.n_bits = 80_000
         wave, fs = transmit_waveform(cfg.sim_config())
         assert wave.size == 80_000
         assert fs == 8 * 125e6
         np.testing.assert_array_equal(wave, run_link_sim(cfg.sim_config()).tx_waveform)
+
+        # 1,048,576 bits of paper.cfg fill the window from 4 blocks, which
+        # run on the block pool and write into one window array; at 4
+        # workers, more than there are cores, with a short switch interval
+        config = load_config(str(PAPER_CFG)).sim_config(n_bits=1_048_576)
+        real = simulate._tx_block
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 4)
+        waves = []
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-5)
+            for threads in ("1", "2", "4"):
+                calls = []
+
+                def counting(*args, **kwargs):
+                    calls.append(args[2])
+                    return real(*args, **kwargs)
+
+                monkeypatch.setattr(simulate, "_tx_block", counting)
+                monkeypatch.setenv("QAMLINK_THREADS", threads)
+                wave, _ = transmit_waveform(config)
+                assert sorted(calls) == [0, 1, 2, 3], threads
+                waves.append(wave)
+        finally:
+            sys.setswitchinterval(interval)
+        assert waves[0].size == simulate._PSD_TARGET_SAMPLES
+        for wave in waves[1:]:
+            np.testing.assert_array_equal(wave, waves[0])
+        np.testing.assert_array_equal(waves[0], run_link_sim(config).tx_waveform)
+
+    def test_full_rate_tx_block_works_in_chunks(self):
+        """A window block's numpy peak stays under 3x the waveform it
+        returns: the pulse shaper's output, the chain's output and
+        chunk-sized temporaries. A chain working on whole arrays peaks at
+        over 5x."""
+        config = load_config(str(PAPER_CFG)).sim_config(n_bits=1_048_576)
+        ctx = simulate._build_context(config)
+        tracemalloc.start()
+        try:
+            _, _, wave = simulate._tx_block(config, ctx, 0, simulate._SYMBOLS_PER_BLOCK,
+                                            full_rate=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * wave.nbytes
 
     @pytest.mark.parametrize("path,overrides", [
         ("paper.cfg", dict(n_bits=1_600_000, seed=2, noise_enabled=False)),
