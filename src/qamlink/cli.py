@@ -100,7 +100,8 @@ def cmd_budget(args) -> int:
     return EXIT_OK if report.fcc_compliant else EXIT_NONCOMPLIANT
 
 
-def _sim_report_lines(config: SimConfig, result: SimResult) -> list[str]:
+def _sim_report_lines(config: SimConfig, result: SimResult, tx_power_dbm: float,
+                      sample_rate_hz: float) -> list[str]:
     ci_low, ci_high = result.ber_confidence
     target = config.scenario.target_ber
     meets = ci_high <= target
@@ -117,8 +118,8 @@ def _sim_report_lines(config: SimConfig, result: SimResult) -> list[str]:
         f"rx_evm_pct: {result.rx_evm_pct:.4f}",
         f"evm_threshold_pct: {config.evm_threshold_pct:.4f}",
         f"tx_evm_vs_threshold: {'pass' if tx_evm_ok else 'fail'}",
-        f"tx_power_dbm: {result.tx_power_dbm:.4f}",
-        f"sample_rate_hz: {result.sample_rate_hz:.0f}",
+        f"tx_power_dbm: {tx_power_dbm:.4f}",
+        f"sample_rate_hz: {sample_rate_hz:.0f}",
         f"pulse_shape: {config.pulse_shape}",
         f"seed: {config.seed}",
     ]
@@ -142,9 +143,10 @@ def cmd_simulate(args) -> int:
         pa_linear=args.linear_pa,
     )
     result = run_link_sim(config)
-    lines = _sim_report_lines(config, result)
-    # the PSD first: its estimate is the one step left that can fail
-    _write_psd_csv(os.path.join(cfg.output_dir, PSD_CSV_NAME), result.psd)
+    wave, sample_rate, tx_power_dbm = transmit_waveform(config)
+    psd = estimate_spectrum(wave, sample_rate)
+    lines = _sim_report_lines(config, result, tx_power_dbm, sample_rate)
+    _write_psd_csv(os.path.join(cfg.output_dir, PSD_CSV_NAME), psd)
     _write_lines(os.path.join(cfg.output_dir, SIM_REPORT_NAME), lines)
     _write_constellation_csv(os.path.join(cfg.output_dir, TX_CONSTELLATION_CSV_NAME),
                              result.tx_constellation)
@@ -185,7 +187,7 @@ def cmd_ber_sweep(args) -> int:
             rows.append(f"{ebn0:.2f},{theory:.8e},,,")
             continue
         result = run_link_sim(cfg.sim_config(n_bits=n_bits, seed=cfg.seed + i,
-                                             calibration_ebn0_db=ebn0), window=False)
+                                             calibration_ebn0_db=ebn0))
         ci_low, ci_high = result.ber_confidence
         rows.append(f"{ebn0:.2f},{theory:.8e},{result.measured_ber:.8e},"
                     f"{ci_low:.8e},{ci_high:.8e}")
@@ -201,7 +203,7 @@ def cmd_spectrum(args) -> int:
         noise_enabled=not args.no_noise,
         pa_linear=args.linear_pa,
     )
-    wave, sample_rate = transmit_waveform(config)
+    wave, sample_rate, _ = transmit_waveform(config)
     psd = estimate_spectrum(wave, sample_rate)
     _write_psd_csv(os.path.join(cfg.output_dir, PSD_CSV_NAME), psd)
     print(f"wrote {psd.shape[0]} PSD bins at {sample_rate:.0f} Hz sample rate "

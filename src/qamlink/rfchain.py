@@ -8,14 +8,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import complex_noise
-from .units import (
-    GainDb,
-    PowerDbm,
-    THERMAL_NOISE_DBM_PER_HZ,
-    db_to_linear,
-    dbm_to_watts,
-)
+from .channel import complex_noise, noise_floor
+from .units import GainDb, PowerDbm, db_to_linear, dbm_to_watts
 
 # Fractional gain drop at the 1 dB compression point: 1 - 10^(-1/20).
 _COMPRESSION_1DB = 1.0 - 10.0 ** (-1.0 / 20.0)
@@ -150,14 +144,14 @@ def amplifier_transfer(x, spec: StageSpec):
 
 def stage_added_noise_watts(spec: StageSpec, bandwidth_hz: float) -> float:
     """Output-referred noise power the stage itself adds over the bandwidth."""
-    ktb_w = dbm_to_watts(THERMAL_NOISE_DBM_PER_HZ) * bandwidth_hz
+    ktb_w = dbm_to_watts(noise_floor(bandwidth_hz, 0.0))
     return ktb_w * (db_to_linear(spec.nf_db) - 1.0) * db_to_linear(spec.gain_db)
 
 
 def chain_transfer(x, chain: ChainSpec, bandwidth_hz: float | None = None,
                    rng: np.random.Generator | None = None,
                    input_noise_watts: float = 0.0) -> np.ndarray:
-    """Run complex baseband samples through every stage in order.
+    """Run 1-D complex baseband samples through every stage in order.
 
     Given an RNG the chain is noisy: ``input_noise_watts`` of noise is due at
     the chain input and, given a bandwidth too, each stage adds its own
@@ -172,32 +166,22 @@ def chain_transfer(x, chain: ChainSpec, bandwidth_hz: float | None = None,
     output has the same distribution as with a draw after every stage.
 
     Every stage is elementwise, so a run is applied ``_CHUNK_SAMPLES`` at a
-    time into one output array; the chunks of a run draw its noise in turn,
-    and consecutive draws from one generator equal one whole draw. The input
-    is never written; it is returned as is when no run does any work.
+    time, in place; the chunks of a run draw its noise in turn, and
+    consecutive draws from one generator equal one whole draw. A complex128
+    input is overwritten and returned; any other input is converted first.
     """
     y = np.asarray(x, dtype=np.complex128)
-    out = None
     for gain, noise_w, stage in _folded_runs(chain, bandwidth_hz, rng is not None,
                                              input_noise_watts):
-        if gain == 1.0 and noise_w == 0.0 and stage is None:
-            continue
-        if out is None:
-            out = np.empty(y.shape, np.complex128)
-            src = y.reshape(-1)
-        else:
-            src = out.reshape(-1)
-        dst = out.reshape(-1)
-        for start in range(0, dst.size, _CHUNK_SAMPLES):
-            seg = dst[start:start + _CHUNK_SAMPLES]
-            part = src[start:start + _CHUNK_SAMPLES]
+        for start in range(0, y.size, _CHUNK_SAMPLES):
+            seg = y[start:start + _CHUNK_SAMPLES]
             if gain != 1.0:
-                part = np.multiply(part, gain, out=seg)
+                seg *= gain
             if noise_w > 0.0:
-                part = np.add(part, complex_noise(rng, seg.size, noise_w), out=seg)
+                seg += complex_noise(rng, seg.size, noise_w)
             if stage is not None:
-                seg[...] = amplifier_transfer(part, stage)
-    return y if out is None else out
+                seg[...] = amplifier_transfer(seg, stage)
+    return y
 
 
 def _folded_runs(chain: ChainSpec, bandwidth_hz: float | None, noisy: bool,

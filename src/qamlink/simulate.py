@@ -2,16 +2,16 @@
 symbol labels -> QAM -> pulse shaping -> TX chain -> free space + AWGN ->
 RX chain -> demapping, with BER, EVM, spectrum, and constellation outputs.
 
-The pulse shaper is a polyphase bank of symbol-rate FIRs. All its phases
-give the full-rate waveform, which only the blocks feeding the spectrum
-window compute, each writing its samples into the one window array; one
-phase gives the symbol instants. A caller that reads no PSD or TX power (a
-BER sweep) asks for no window, and then every block runs at the symbol
-instants. Every later stage is memoryless, so a block
-keeps only its symbol instants from there on. Every block normalises its
-drive on a closed form of its full-rate pulse power between the guards, the
-samples it transmits; calibrated AWGN is referred to the link budget's
-received power.
+The pulse shaper is a polyphase bank of symbol-rate FIRs, and every later
+stage is memoryless, so BER, EVM and the constellations need only the
+symbol instants, one phase of the bank: every Monte-Carlo block of
+run_link_sim runs at the instants. Only the TX power spectrum needs the
+full-rate waveform, all phases of the bank; transmit_waveform computes it in
+a TX-only pass over the blocks that feed the spectrum window, with the same
+per-block streams, each block writing its samples into the one window
+array. Every block normalises its drive on a closed form of its full-rate
+pulse power between the guards, the samples it transmits; calibrated AWGN
+is referred to the link budget's received power.
 
 The run is split into fixed-size symbol blocks. Every block draws its
 symbols as packed uint8 labels and carries them to the error count, the
@@ -27,7 +27,6 @@ import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
 from statistics import NormalDist
 
 import numpy as np
@@ -109,24 +108,16 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimResult:
-    """Measured link quality plus plot-ready spectrum and constellations."""
+    """Measured link quality plus plot-ready constellations."""
 
     measured_ber: float
     ber_confidence: tuple[float, float]  # 95% Wilson interval
     tx_evm_pct: float
     rx_evm_pct: float
-    tx_waveform: np.ndarray              # leading TX samples, <= 1 M; the PSD input
     tx_constellation: np.ndarray         # complex symbol-instant samples, <= 4096
     rx_constellation: np.ndarray
     n_bits_run: int
     n_bit_errors: int
-    sample_rate_hz: float
-    tx_power_dbm: float | None           # mean TX power over the window; None without one
-
-    @cached_property
-    def psd(self) -> np.ndarray:
-        """(n, 2): frequency_hz, power_db rel peak; estimated on first access."""
-        return estimate_spectrum(self.tx_waveform, self.sample_rate_hz)
 
 
 def wilson_interval(errors: int, trials: int) -> tuple[float, float]:
@@ -318,7 +309,6 @@ class _Context:
     # "ebn0":    calibrated AWGN only   "off": no noise anywhere
     noise_mode: str
     channel_noise_var_w: float  # at the RX input: kTB, or the calibrated AWGN
-    psd_samples: int
     cloud_points: int
 
 
@@ -328,8 +318,6 @@ class _BlockStats:
     ref_energy: float
     tx_err_energy: float
     rx_err_energy: float
-    tx_power_sum: float
-    tx_power_samples: int  # 0 unless the block's TX side ran at full rate
     tx_cloud: np.ndarray
     rx_cloud: np.ndarray
 
@@ -341,7 +329,7 @@ def _block_sizes(n_symbols: int) -> list[int]:
         n_symbols - _SYMBOLS_PER_BLOCK * (n_blocks - 1)]
 
 
-def _build_context(config: SimConfig, window: bool = True) -> _Context:
+def _build_context(config: SimConfig) -> _Context:
     scenario = config.scenario
     cmap = build_constellation(scenario.modulation_order)
     sps = config.samples_per_symbol
@@ -386,7 +374,6 @@ def _build_context(config: SimConfig, window: bool = True) -> _Context:
         path_amplitude=10.0 ** (path_db / 20.0),
         noise_mode=noise_mode,
         channel_noise_var_w=channel_noise_var_w,
-        psd_samples=min(n_symbols * sps, _PSD_TARGET_SAMPLES) if window else 0,
         cloud_points=min(n_symbols, _MAX_CLOUD_POINTS),
     )
 
@@ -436,39 +423,19 @@ def _tx_block(config: SimConfig, ctx: _Context, block: int, n_sym: int, *,
     return labels, symbols, wave
 
 
-def _window_interior(ctx: _Context, tx_window: np.ndarray, block: int, n_sym: int,
-                     tx: np.ndarray) -> np.ndarray:
-    """A full-rate block's samples between its guards; the part of them that
-    falls in the spectrum window is written into ``tx_window``."""
-    first = ctx.guard_symbols * ctx.sps
-    interior = tx[first:first + n_sym * ctx.sps]
-    dest = tx_window[block * _SYMBOLS_PER_BLOCK * ctx.sps:][:interior.size]
-    dest[...] = interior[:dest.size]
-    return interior
-
-
-def _simulate_block(config: SimConfig, ctx: _Context, tx_window: np.ndarray, block: int,
+def _simulate_block(config: SimConfig, ctx: _Context, block: int,
                     n_sym: int) -> _BlockStats:
     cmap = ctx.cmap
     guard = ctx.guard_symbols
-    sps = ctx.sps
     base = block * _STREAMS_PER_BLOCK
     start_sym = block * _SYMBOLS_PER_BLOCK
 
-    # the TX side runs at full rate where the spectrum window needs its samples
-    full_rate = start_sym * sps < ctx.psd_samples
-    labels, symbols, tx = _tx_block(config, ctx, block, n_sym, full_rate=full_rate)
+    labels, symbols, tx_samples = _tx_block(config, ctx, block, n_sym, full_rate=False)
     ref = symbols[guard:guard + n_sym]
     ref_labels = labels[guard:guard + n_sym]
-    # full-rate samples between the guards; none past the spectrum window
-    if full_rate:
-        tx_interior = _window_interior(ctx, tx_window, block, n_sym, tx)
-        tx_samples = tx_interior[sps // 2::sps]
-    else:
-        tx_interior, tx_samples = tx[:0], tx
 
-    # from here on every stage is memoryless and every noise draw white per
-    # sample, so the channel and the RX chain run on the symbol instants:
+    # every stage after the pulse shaper is memoryless and every noise draw
+    # white per sample, so the channel and the RX chain run on the instants:
     # the free-space path, then the additive noise for the selected mode;
     # thermal channel noise is due at the RX chain input, which draws it
     # together with the noise of the chain's first linear stages
@@ -496,8 +463,6 @@ def _simulate_block(config: SimConfig, ctx: _Context, tx_window: np.ndarray, blo
         ref_energy=float(ref_energy),
         tx_err_energy=tx_err_energy,
         rx_err_energy=rx_err_energy,
-        tx_power_sum=float(_real_dot(tx_interior, tx_interior)),
-        tx_power_samples=tx_interior.size,
         tx_cloud=tx_samples[:cloud_take] / tx_gain,
         rx_cloud=rx_norm[:cloud_take].copy(),
     )
@@ -521,58 +486,55 @@ def _run_blocks(job, n_blocks: int) -> list:
         return list(pool.map(job, range(n_blocks)))
 
 
-def run_link_sim(config: SimConfig, *, window: bool = True) -> SimResult:
+def run_link_sim(config: SimConfig) -> SimResult:
     """Run the Monte-Carlo link simulation described by config.
 
     Deterministic for a fixed seed under any worker count: blocks own their
-    RNG streams and the reduction happens in block order. Without ``window``
-    ``tx_waveform`` is empty and ``tx_power_dbm`` None; every other field is
-    the same as with it.
+    RNG streams and the reduction happens in block order.
     """
-    ctx = _build_context(config, window)
+    ctx = _build_context(config)
     sizes = _block_sizes(ctx.n_symbols)
-    tx_window = np.empty(ctx.psd_samples, np.complex128)
-    stats = _run_blocks(lambda i: _simulate_block(config, ctx, tx_window, i, sizes[i]),
-                        len(sizes))
+    stats = _run_blocks(lambda i: _simulate_block(config, ctx, i, sizes[i]), len(sizes))
 
     n_errors = sum(s.n_errors for s in stats)
     ref_energy = sum(s.ref_energy for s in stats)
     tx_err = sum(s.tx_err_energy for s in stats)
     rx_err = sum(s.rx_err_energy for s in stats)
-    n_power = sum(s.tx_power_samples for s in stats)
 
     return SimResult(
         measured_ber=n_errors / config.n_bits,
         ber_confidence=wilson_interval(n_errors, config.n_bits),
         tx_evm_pct=100.0 * math.sqrt(tx_err / ref_energy),
         rx_evm_pct=100.0 * math.sqrt(rx_err / ref_energy),
-        tx_waveform=tx_window,
         tx_constellation=np.concatenate([s.tx_cloud for s in stats]),
         rx_constellation=np.concatenate([s.rx_cloud for s in stats]),
         n_bits_run=config.n_bits,
         n_bit_errors=n_errors,
-        sample_rate_hz=ctx.sample_rate_hz,
-        tx_power_dbm=(watts_to_dbm(sum(s.tx_power_sum for s in stats) / n_power)
-                      if n_power else None),
     )
 
 
-def transmit_waveform(config: SimConfig) -> tuple[np.ndarray, float]:
-    """Steady-state transmitted waveform (TX side only) and its sample rate.
+def transmit_waveform(config: SimConfig) -> tuple[np.ndarray, float, float]:
+    """Steady-state transmitted waveform (TX side only), its sample rate,
+    and its mean power in dBm.
 
     Uses the same blocks and per-block RNG streams as run_link_sim, so the
-    waveform is the one the full simulation would transmit, up to the same
+    waveform is the one the full simulation would transmit, up to a
     1 M-sample spectrum window. Only the blocks needed for that window run,
-    on the same block pool, each writing into the window.
+    at full rate on the same block pool, each writing the samples between
+    its guards into the window.
     """
     ctx = _build_context(config)
-    tx_window = np.empty(ctx.psd_samples, np.complex128)
-    n_needed = math.ceil(tx_window.size / (_SYMBOLS_PER_BLOCK * ctx.sps))
-    sizes = _block_sizes(ctx.n_symbols)[:n_needed]
+    window = np.empty(min(ctx.n_symbols * ctx.sps, _PSD_TARGET_SAMPLES), np.complex128)
+    block_samples = _SYMBOLS_PER_BLOCK * ctx.sps
+    sizes = _block_sizes(ctx.n_symbols)[:math.ceil(window.size / block_samples)]
+    first = ctx.guard_symbols * ctx.sps
 
-    def job(block: int) -> None:
+    def job(block: int) -> float:
         _, _, tx = _tx_block(config, ctx, block, sizes[block], full_rate=True)
-        _window_interior(ctx, tx_window, block, sizes[block], tx)
+        dest = window[block * block_samples:][:sizes[block] * ctx.sps]
+        dest[...] = tx[first:first + dest.size]
+        return float(_real_dot(dest, dest))
 
-    _run_blocks(job, len(sizes))
-    return tx_window, ctx.sample_rate_hz
+    # each job sums its part of the window's power: no window-sized temporary
+    power = sum(_run_blocks(job, len(sizes)))
+    return window, ctx.sample_rate_hz, watts_to_dbm(power / window.size)

@@ -110,7 +110,7 @@ def test_criterion_4_monte_carlo_ber_vs_theory():
             ebn0 = ebn0_for_ber(order, target)
             theory = theoretical_ber(order, ebn0)
             result = run_link_sim(_calibration_sim(order, ebn0, n_bits,
-                                                   seed=200 + total), window=False)
+                                                   seed=200 + total))
             lo, hi = result.ber_confidence
             inside = lo <= theory <= hi
             rows.append(f"M={order} target={target:.0e} "
@@ -144,7 +144,7 @@ def test_criterion_6_spectrum_nulls():
     cfg = RunConfig()
     cfg.pulse_shape = "rectangular"
     cfg.n_bits = 1_048_576
-    wave, fs = transmit_waveform(cfg.sim_config())
+    wave, fs, _ = transmit_waveform(cfg.sim_config())
     psd = estimate_spectrum(wave, fs)
     freqs, power = psd[:, 0], psd[:, 1]
     bin_width = freqs[1] - freqs[0]
@@ -218,8 +218,10 @@ def test_criterion_8_property_suites(monkeypatch):
     for threads in ("1", "2", "5"):
         monkeypatch.setenv("QAMLINK_THREADS", threads)
         result = run_link_sim(config)
+        wave, fs, tx_power_dbm = transmit_waveform(config)
         fingerprint = (result.measured_ber, result.tx_evm_pct, result.rx_evm_pct,
-                       result.psd.tobytes(), result.rx_constellation.tobytes())
+                       estimate_spectrum(wave, fs).tobytes(), tx_power_dbm,
+                       result.rx_constellation.tobytes())
         if reference is None:
             reference = fingerprint
         elif fingerprint != reference:

@@ -198,6 +198,36 @@ class TestSimulateCommand:
         for name in outputs[0]:
             assert outputs[0][name] == outputs[1][name]
 
+    def test_simulate_and_spectrum_write_the_same_psd(self, tmp_path, monkeypatch):
+        """simulate takes its spectrum window from the TX-only pass that
+        spectrum runs: both write the same psd.csv under any worker count,
+        and simulate reports the window's mean power. Its Monte-Carlo run
+        shapes no full-rate pulse and estimates no spectrum. 1.2 Mbit of
+        paper.cfg run 5 blocks, 4 of them in the window."""
+        from qamlink import simulate
+        bits, seed = 1_200_000, 4
+        config = load_config(str(PAPER_CFG)).sim_config(n_bits=bits, seed=seed)
+        window_power = f"{simulate.transmit_waveform(config)[2]:.4f}"
+        common = ["--config", str(PAPER_CFG), "--bits", str(bits), "--seed", str(seed)]
+        psds = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("QAMLINK_THREADS", threads)
+            for command in ("simulate", "spectrum"):
+                out = tmp_path / f"{command}{threads}"
+                assert cli.main([command, *common, "--out", str(out)]) == 0
+                psds.append((out / "psd.csv").read_bytes())
+            report = read_report(tmp_path / f"simulate{threads}" / "sim_report.txt")
+            assert report["tx_power_dbm"] == window_power
+        assert len(set(psds)) == 1
+
+        calls = []
+        for name in ("pulse_shape", "estimate_spectrum"):
+            monkeypatch.setattr(simulate, name, lambda *args, name=name: calls.append(name))
+        for threads in ("1", "2"):
+            monkeypatch.setenv("QAMLINK_THREADS", threads)
+            simulate.run_link_sim(config)
+        assert calls == []
+
     def test_noiseless_linear_run_reports_zero_ber(self, tmp_path, capsys):
         code = cli.main(["simulate", "--config", str(PAPER_CFG),
                          "--bits", "80000", "--no-noise", "--linear-pa",

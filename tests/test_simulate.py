@@ -246,10 +246,11 @@ class TestRunLinkSim:
         assert 0.0 <= lo <= result.measured_ber <= hi <= 1.0
         assert result.tx_constellation.size <= 4096
         assert result.rx_constellation.size <= 4096
-        fs = result.sample_rate_hz
-        assert result.psd[0, 0] == pytest.approx(-fs / 2, rel=1e-9)
-        assert result.psd[-1, 0] < fs / 2
         assert result.n_bits_run == 200_000
+        wave, fs, _ = transmit_waveform(cfg.sim_config())
+        psd = estimate_spectrum(wave, fs)
+        assert psd[0, 0] == pytest.approx(-fs / 2, rel=1e-9)
+        assert psd[-1, 0] < fs / 2
 
     def test_deterministic_rerun(self):
         cfg = RunConfig()
@@ -259,22 +260,28 @@ class TestRunLinkSim:
         assert a.measured_ber == b.measured_ber
         assert a.tx_evm_pct == b.tx_evm_pct
         assert a.rx_evm_pct == b.rx_evm_pct
-        np.testing.assert_array_equal(a.psd, b.psd)
         np.testing.assert_array_equal(a.rx_constellation, b.rx_constellation)
+        (wave_a, _, power_a), (wave_b, _, power_b) = (
+            transmit_waveform(cfg.sim_config()) for _ in range(2))
+        np.testing.assert_array_equal(wave_a, wave_b)
+        assert power_a == power_b
 
     def test_worker_count_does_not_change_results(self, monkeypatch):
-        """Multi-block run reduced on one thread and on four is bit-identical."""
+        """Multi-block run reduced on one thread and on four is bit-identical,
+        and so is its spectrum window."""
         config = calibration_config(4, 4.0, 163_840, seed=5)
-        results = []
+        results, windows = [], []
         for threads in ("1", "4"):
             monkeypatch.setenv("QAMLINK_THREADS", threads)
             results.append(run_link_sim(config))
+            windows.append(transmit_waveform(config))
         a, b = results
         assert a.measured_ber == b.measured_ber
         assert a.n_bit_errors == b.n_bit_errors
         assert a.tx_evm_pct == b.tx_evm_pct
         assert a.rx_evm_pct == b.rx_evm_pct
-        np.testing.assert_array_equal(a.psd, b.psd)
+        np.testing.assert_array_equal(windows[0][0], windows[1][0])
+        assert windows[0][1:] == windows[1][1:]
         np.testing.assert_array_equal(a.tx_constellation, b.tx_constellation)
         np.testing.assert_array_equal(a.rx_constellation, b.rx_constellation)
 
@@ -298,41 +305,31 @@ class TestRunLinkSim:
             return real(rng, shape, variance)
 
         monkeypatch.setattr(simulate, "complex_noise", recording)
-        result = run_link_sim(config)
+        run_link_sim(config)
         assert variances == [pytest.approx(expected, rel=1e-12, abs=0)] * 4
         # the drive is normalised on the samples between the block guards,
-        # where tx_power_dbm is measured
-        drop = scenario.tx_power_dbm - result.tx_power_dbm
+        # which make up the window where the TX power is measured
+        drop = scenario.tx_power_dbm - transmit_waveform(config)[2]
         if pa_linear:
             assert drop == pytest.approx(0.0, abs=1e-4)
         else:
             assert drop == pytest.approx(0.15, abs=0.02)
 
-    def test_psd_is_estimated_on_first_access(self, monkeypatch):
-        calls = []
-        real = simulate.estimate_spectrum
-
-        def counting(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(simulate, "estimate_spectrum", counting)
+    def test_transmit_waveform_is_the_window_blocks_interiors(self, monkeypatch):
+        """The window holds each window block's full-rate samples between
+        its guards, and its power is their mean square."""
         cfg = RunConfig()
         cfg.n_bits = 80_000
-        result = run_link_sim(cfg.sim_config())
-        assert calls == []
-        psd = result.psd
-        assert result.psd is psd and len(calls) == 1
-        expected = real(result.tx_waveform, result.sample_rate_hz)
-        np.testing.assert_array_equal(psd, expected)
-
-    def test_transmit_waveform_matches_sim_prefix(self, monkeypatch):
-        cfg = RunConfig()
-        cfg.n_bits = 80_000
-        wave, fs = transmit_waveform(cfg.sim_config())
+        config = cfg.sim_config()
+        wave, fs, power_dbm = transmit_waveform(config)
         assert wave.size == 80_000
         assert fs == 8 * 125e6
-        np.testing.assert_array_equal(wave, run_link_sim(cfg.sim_config()).tx_waveform)
+        ctx = simulate._build_context(config)
+        _, _, tx = simulate._tx_block(config, ctx, 0, ctx.n_symbols, full_rate=True)
+        first = ctx.guard_symbols * ctx.sps
+        np.testing.assert_array_equal(wave, tx[first:first + wave.size])
+        assert power_dbm == pytest.approx(
+            10.0 * math.log10(np.mean(np.abs(wave) ** 2)) + 30.0, abs=1e-9)
 
         # 1,048,576 bits of paper.cfg fill the window from 4 blocks, which
         # run on the block pool and write into one window array; at 4
@@ -353,7 +350,7 @@ class TestRunLinkSim:
 
                 monkeypatch.setattr(simulate, "_tx_block", counting)
                 monkeypatch.setenv("QAMLINK_THREADS", threads)
-                wave, _ = transmit_waveform(config)
+                wave, _, _ = transmit_waveform(config)
                 assert sorted(calls) == [0, 1, 2, 3], threads
                 waves.append(wave)
         finally:
@@ -361,13 +358,12 @@ class TestRunLinkSim:
         assert waves[0].size == simulate._PSD_TARGET_SAMPLES
         for wave in waves[1:]:
             np.testing.assert_array_equal(wave, waves[0])
-        np.testing.assert_array_equal(waves[0], run_link_sim(config).tx_waveform)
 
     def test_full_rate_tx_block_works_in_chunks(self):
-        """A window block's numpy peak stays under 3x the waveform it
-        returns: the pulse shaper's output, the chain's output and
-        chunk-sized temporaries. A chain working on whole arrays peaks at
-        over 5x."""
+        """A window block's numpy peak stays under 2x the waveform it
+        returns: the pulse shaper's output, which the chain transforms in
+        place, and chunk-sized temporaries. A chain writing a second output
+        array peaks at over 2.5x, one working on whole arrays at over 5x."""
         config = load_config(str(PAPER_CFG)).sim_config(n_bits=1_048_576)
         ctx = simulate._build_context(config)
         tracemalloc.start()
@@ -377,30 +373,7 @@ class TestRunLinkSim:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3 * wave.nbytes
-
-    @pytest.mark.parametrize("path,overrides", [
-        ("paper.cfg", dict(n_bits=1_600_000, seed=2, noise_enabled=False)),
-        ("qpsk.cfg", dict(calibration_ebn0_db=7.0)),
-    ])
-    def test_windowless_run_matches_windowed_run(self, path, overrides):
-        """Compressing PA with noise off, and calibrated AWGN on qpsk.cfg,
-        whose 2 Mbit put 16 of its 31 blocks in the window: without the
-        window no TX power is measured, and nothing else moves."""
-        config = load_config(str(REPO_ROOT / path)).sim_config(**overrides)
-        windowed = run_link_sim(config)
-        bare = run_link_sim(config, window=False)
-        assert bare.tx_power_dbm is None
-        assert bare.tx_waveform.size == 0
-        assert math.isfinite(windowed.tx_power_dbm)
-        assert windowed.tx_waveform.size > 0
-        assert bare.measured_ber == windowed.measured_ber
-        assert bare.n_bit_errors == windowed.n_bit_errors
-        assert bare.ber_confidence == windowed.ber_confidence
-        assert bare.tx_evm_pct == windowed.tx_evm_pct
-        assert bare.rx_evm_pct == windowed.rx_evm_pct
-        np.testing.assert_array_equal(bare.tx_constellation, windowed.tx_constellation)
-        np.testing.assert_array_equal(bare.rx_constellation, windowed.rx_constellation)
+        assert peak < 2 * wave.nbytes
 
     @pytest.mark.parametrize("order", SUPPORTED_ORDERS)
     def test_ideal_chain_without_noise_reads_zero_evm(self, order):
@@ -541,9 +514,16 @@ def block_instants(wave, ctx, n_sym):
     return wave[start:start + n_sym * ctx.sps:ctx.sps]
 
 
+def window_blocks(ctx):
+    """Sizes of the blocks that feed transmit_waveform's spectrum window."""
+    block_samples = simulate._SYMBOLS_PER_BLOCK * ctx.sps
+    n_window = min(ctx.n_symbols * ctx.sps, simulate._PSD_TARGET_SAMPLES)
+    return simulate._block_sizes(ctx.n_symbols)[:math.ceil(n_window / block_samples)]
+
+
 class TestSymbolRateBlocks:
-    """Past the spectrum window a block runs every stage after the pulse
-    shaper at the symbol instants only; that must change no result."""
+    """Every Monte-Carlo block runs every stage after the pulse shaper at the
+    symbol instants only; that must change no result."""
 
     def test_tx_block_at_instants_matches_full_rate_samples(self):
         config = load_config(str(PAPER_CFG)).sim_config(n_bits=80_000,
@@ -592,10 +572,10 @@ class TestSymbolRateBlocks:
                                    atol=5e-4)
         assert np.count_nonzero(at_instants) == 3
 
-    def test_pulse_shape_runs_only_in_the_window_blocks(self, monkeypatch):
-        """4 Mbit of paper.cfg: the 4 blocks that overlap the spectrum window
-        shape at full rate, the 12 past it at the symbol instants, under
-        calibrated AWGN too."""
+    def test_pulse_shape_runs_only_in_transmit_waveform(self, monkeypatch):
+        """4 Mbit of paper.cfg: run_link_sim shapes every block at the symbol
+        instants, under calibrated AWGN too; transmit_waveform shapes the 4
+        window blocks at full rate."""
         real = simulate.pulse_shape
         for ebn0 in (None, 20.0):
             config = load_config(str(PAPER_CFG)).sim_config(n_bits=4_000_000,
@@ -610,17 +590,18 @@ class TestSymbolRateBlocks:
                 monkeypatch.setattr(simulate, "pulse_shape", counting)
                 monkeypatch.setenv("QAMLINK_THREADS", threads)
                 run_link_sim(config)
+                assert len(calls) == 0, (ebn0, threads)
+                transmit_waveform(config)
                 assert len(calls) == 4, (ebn0, threads)
 
     def test_ber_sweep_runs_no_pulse_shape(self, monkeypatch, tmp_path):
         """qpsk.cfg at 200 kbit: all 4 blocks lie in the window, so simulate
-        shapes each at full rate, and ber-sweep shapes none."""
+        shapes each at full rate for the spectrum, and ber-sweep shapes none."""
         real = simulate.pulse_shape
         config = load_config(str(QPSK_CFG)).sim_config(n_bits=200_000)
         ctx = simulate._build_context(config)
-        starts = np.cumsum([0] + simulate._block_sizes(ctx.n_symbols)[:-1])
-        window_blocks = int(np.count_nonzero(starts * ctx.sps < ctx.psd_samples))
-        assert window_blocks == 4
+        n_window = len(window_blocks(ctx))
+        assert n_window == len(simulate._block_sizes(ctx.n_symbols)) == 4
         common = ["--config", str(QPSK_CFG), "--bits", "200000", "--out", str(tmp_path)]
         for threads in ("1", "2"):
             calls = []
@@ -634,43 +615,37 @@ class TestSymbolRateBlocks:
             assert cli.main(["ber-sweep", "--from", "6", "--to", "8", *common]) == 0
             assert len(calls) == 0, threads
             assert cli.main(["simulate", *common]) == 0
-            assert len(calls) == window_blocks, threads
+            assert len(calls) == n_window, threads
 
-    def test_symbol_rate_blocks_match_full_rate_run(self, monkeypatch):
-        """Noise off, compressing PA: the window's 4 blocks plus 3 later ones."""
+    def test_window_instants_match_symbol_rate_blocks(self):
+        """Noise off, compressing PA: at every window block the symbol
+        instants of transmit_waveform's full-rate window are the block's
+        TX output at the instants, as run_link_sim computes it."""
         config = load_config(str(PAPER_CFG)).sim_config(n_bits=1_600_000, seed=7,
                                                         noise_enabled=False)
-        block_samples = simulate._SYMBOLS_PER_BLOCK * config.samples_per_symbol
-        n_samples = (config.n_bits // config.scenario.bits_per_symbol
-                     * config.samples_per_symbol)
-        assert simulate._PSD_TARGET_SAMPLES + 2 * block_samples < n_samples
-        mixed = run_link_sim(config)
-        monkeypatch.setattr(simulate, "_PSD_TARGET_SAMPLES", n_samples)
-        full = run_link_sim(config)
-        assert full.tx_waveform.size == n_samples
-        assert mixed.measured_ber == full.measured_ber > 0.0
-        assert mixed.n_bit_errors == full.n_bit_errors
-        assert mixed.tx_evm_pct == full.tx_evm_pct
-        assert mixed.rx_evm_pct == full.rx_evm_pct
-        np.testing.assert_array_equal(mixed.tx_constellation, full.tx_constellation)
-        np.testing.assert_array_equal(mixed.rx_constellation, full.rx_constellation)
+        ctx = simulate._build_context(config)
+        wave, _, _ = transmit_waveform(config)
+        sizes = window_blocks(ctx)
+        assert len(sizes) == 4 < len(simulate._block_sizes(ctx.n_symbols))
+        instants = wave[ctx.sps // 2::ctx.sps]
+        for block, n_sym in enumerate(sizes):
+            _, _, at_instants = simulate._tx_block(config, ctx, block, n_sym,
+                                                   full_rate=False)
+            first = block * simulate._SYMBOLS_PER_BLOCK
+            np.testing.assert_array_equal(instants[first:first + n_sym], at_instants)
 
     def test_thermal_draw_count_follows_block_plan(self, monkeypatch):
-        """4 Mbit of paper.cfg: two complex draws per TX sample (before the PA,
-        at the TX output), full rate in the window blocks and at the symbol
-        instants past it, and two per symbol on the RX side of every block."""
+        """4 Mbit of paper.cfg: run_link_sim draws twice per symbol on each
+        side (TX: before the PA and at its output; RX: at the LNA input and
+        at the chain output), two complex or four real draws per side. The
+        TX-only window blocks of transmit_waveform draw their two complex
+        draws per full-rate sample, guards included."""
         config = load_config(str(PAPER_CFG)).sim_config(n_bits=4_000_000)
         ctx = simulate._build_context(config)
-        expected = 0
-        start = 0
-        for n in simulate._block_sizes(ctx.n_symbols):
-            if start * ctx.sps < ctx.psd_samples:
-                expected += 4 * (n + 2 * ctx.guard_symbols) * ctx.sps
-            else:
-                expected += 4 * n
-            expected += 4 * n
-            start += n
-        assert expected == 7_670_784
+        expected_sim = 8 * ctx.n_symbols
+        expected_window = sum(4 * (n + 2 * ctx.guard_symbols) * ctx.sps
+                              for n in window_blocks(ctx))
+        assert (expected_sim, expected_window) == (4_000_000, 4_195_072)
 
         real = simulate.noise_generator
         for threads in ("1", "2"):
@@ -679,7 +654,10 @@ class TestSymbolRateBlocks:
                                 lambda *a: _CountingGenerator(real(*a), counts))
             monkeypatch.setenv("QAMLINK_THREADS", threads)
             run_link_sim(config)
-            assert sum(counts) == expected, threads
+            assert sum(counts) == expected_sim, threads
+            counts.clear()
+            transmit_waveform(config)
+            assert sum(counts) == expected_window, threads
 
 
 def test_worker_count_never_exceeds_cpus_or_jobs(monkeypatch):
