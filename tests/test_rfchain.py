@@ -195,6 +195,15 @@ class TestStageNoise:
         # thermal in, so output noise is floor + gain + NF by definition
         assert out == pytest.approx(noise_floor(250e6, 0.0) + 13.0 + 1.5, abs=1e-9)
 
+    @pytest.mark.parametrize("bandwidth_hz", [1e6, 125e6, 250e6])
+    def test_added_noise_takes_ktb_from_the_channel_floor(self, bandwidth_hz):
+        """kTB is the thermal floor of channel.noise_floor at NF 0 dB, the
+        same value the link budget and the calibrated noise use, to the bit."""
+        ktb_w = dbm_to_watts(noise_floor(bandwidth_hz, 0.0))
+        for stage in (LNA, *BOM_RX.stages):
+            expected = ktb_w * (db_to_linear(stage.nf_db) - 1.0) * db_to_linear(stage.gain_db)
+            assert stage_added_noise_watts(stage, bandwidth_hz) == expected, stage.name
+
     def test_single_stage_composite_nf_monte_carlo(self):
         bw = 250e6
         ktb_w = dbm_to_watts(noise_floor(bw, 0.0))

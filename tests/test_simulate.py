@@ -617,16 +617,22 @@ class TestSymbolRateBlocks:
             assert cli.main(["simulate", *common]) == 0
             assert len(calls) == n_window, threads
 
-    def test_window_instants_match_symbol_rate_blocks(self):
-        """Noise off, compressing PA: at every window block the symbol
-        instants of transmit_waveform's full-rate window are the block's
-        TX output at the instants, as run_link_sim computes it."""
-        config = load_config(str(PAPER_CFG)).sim_config(n_bits=1_600_000, seed=7,
-                                                        noise_enabled=False)
+    @pytest.mark.parametrize("path,n_bits,n_window", [
+        ("paper.cfg", 1_600_000, 4),
+        ("qpsk.cfg", 1_200_000, 16),
+    ])
+    def test_window_instants_match_symbol_rate_blocks(self, path, n_bits, n_window):
+        """Noise off, with paper.cfg's compressing PA and raised-cosine pulses
+        and with qpsk.cfg's ideal chains and rectangular pulses: at every
+        window block the symbol instants of transmit_waveform's full-rate
+        window are the block's TX output at the instants, as run_link_sim
+        computes it. Both runs have blocks past the window."""
+        config = load_config(str(REPO_ROOT / path)).sim_config(n_bits=n_bits, seed=7,
+                                                               noise_enabled=False)
         ctx = simulate._build_context(config)
         wave, _, _ = transmit_waveform(config)
         sizes = window_blocks(ctx)
-        assert len(sizes) == 4 < len(simulate._block_sizes(ctx.n_symbols))
+        assert len(sizes) == n_window < len(simulate._block_sizes(ctx.n_symbols))
         instants = wave[ctx.sps // 2::ctx.sps]
         for block, n_sym in enumerate(sizes):
             _, _, at_instants = simulate._tx_block(config, ctx, block, n_sym,
