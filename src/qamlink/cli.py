@@ -19,8 +19,11 @@ from .simulate import (
     SimConfig,
     SimResult,
     estimate_spectrum,
-    run_link_sim,
+    link_sim_plan,
+    run_link_sim,  # noqa: F401  perfbench/tracing.py patches this name here
+    run_plans,
     transmit_waveform,
+    window_plan,
 )
 
 EXIT_OK = 0
@@ -126,12 +129,12 @@ def _sim_report_lines(config: SimConfig, result: SimResult, tx_power_dbm: float,
 
 
 def _write_psd_csv(path: str, psd) -> None:
-    rows = [f"{freq:.8e},{power:.8e}" for freq, power in psd]
+    rows = [f"{freq:.8e},{power:.8e}" for freq, power in psd.tolist()]
     _write_csv(path, "frequency_hz,power_db", rows)
 
 
 def _write_constellation_csv(path: str, cloud) -> None:
-    rows = [f"{point.real:.8e},{point.imag:.8e}" for point in cloud]
+    rows = [f"{point.real:.8e},{point.imag:.8e}" for point in cloud.tolist()]
     _write_csv(path, "i,q", rows)
 
 
@@ -142,8 +145,10 @@ def cmd_simulate(args) -> int:
         noise_enabled=not args.no_noise,
         pa_linear=args.linear_pa,
     )
-    result = run_link_sim(config)
-    wave, sample_rate, tx_power_dbm = transmit_waveform(config)
+    # one pool: the window blocks go first, the lighter Monte-Carlo blocks
+    # fill its tail
+    (wave, sample_rate, tx_power_dbm), result = run_plans(
+        [window_plan(config), link_sim_plan(config)])
     psd = estimate_spectrum(wave, sample_rate)
     lines = _sim_report_lines(config, result, tx_power_dbm, sample_rate)
     _write_psd_csv(os.path.join(cfg.output_dir, PSD_CSV_NAME), psd)
@@ -177,20 +182,24 @@ def cmd_ber_sweep(args) -> int:
         raise ConfigError("--to must be >= --from")
     n_points = math.floor((args.stop_db - args.start_db) / args.step + 1e-9) + 1
     ebn0_values = [args.start_db + i * args.step for i in range(n_points)]
-    n = int(math.log2(cfg.modulation_order))
-    n_bits = cfg.n_bits - cfg.n_bits % n
+    theory = [theoretical_ber(cfg.modulation_order, ebn0) for ebn0 in ebn0_values]
 
-    rows = []
-    for i, ebn0 in enumerate(ebn0_values):
-        theory = theoretical_ber(cfg.modulation_order, ebn0)
-        if args.theory_only:
-            rows.append(f"{ebn0:.2f},{theory:.8e},,,")
-            continue
-        result = run_link_sim(cfg.sim_config(n_bits=n_bits, seed=cfg.seed + i,
-                                             calibration_ebn0_db=ebn0))
-        ci_low, ci_high = result.ber_confidence
-        rows.append(f"{ebn0:.2f},{theory:.8e},{result.measured_ber:.8e},"
-                    f"{ci_low:.8e},{ci_high:.8e}")
+    if args.theory_only:
+        rows = [f"{ebn0:.2f},{ber:.8e},,," for ebn0, ber in zip(ebn0_values, theory)]
+    else:
+        n = int(math.log2(cfg.modulation_order))
+        n_bits = cfg.n_bits - cfg.n_bits % n
+        # every point's blocks on one pool; each point is reduced, and its
+        # result dropped, as soon as its own blocks are done
+        results = run_plans(
+            link_sim_plan(cfg.sim_config(n_bits=n_bits, seed=cfg.seed + i,
+                                         calibration_ebn0_db=ebn0))
+            for i, ebn0 in enumerate(ebn0_values))
+        rows = []
+        for ebn0, ber, result in zip(ebn0_values, theory, results):
+            ci_low, ci_high = result.ber_confidence
+            rows.append(f"{ebn0:.2f},{ber:.8e},{result.measured_ber:.8e},"
+                        f"{ci_low:.8e},{ci_high:.8e}")
     path = os.path.join(cfg.output_dir, WATERFALL_CSV_NAME)
     _write_csv(path, "ebn0_db,ber_theory,ber_measured,ci_low,ci_high", rows)
     print(f"wrote {len(rows)} sweep points to {path}")

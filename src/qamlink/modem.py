@@ -96,9 +96,11 @@ def demap_hard(symbols, cmap: ConstellationMap) -> np.ndarray:
     """Hard decision by nearest constellation point, as packed uint8 labels
     in the layout ``map_bits`` takes."""
     symbols = np.asarray(symbols, dtype=np.complex128)
+    # both axes in one pass over the contiguous (re, im) float pairs
+    axes = _nearest_axis_label(
+        np.ascontiguousarray(symbols).reshape(-1).view(np.float64), cmap)
     half = cmap.bits_per_symbol // 2
-    return (_nearest_axis_label(symbols.real, cmap) << half) | _nearest_axis_label(
-        symbols.imag, cmap)
+    return ((axes[0::2] << half) | axes[1::2]).reshape(symbols.shape)
 
 
 def theoretical_ber(order: int, ebn0_db):

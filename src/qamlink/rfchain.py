@@ -134,11 +134,14 @@ def amplifier_transfer(x, spec: StageSpec):
     else:
         a1, a3 = _polynomial_coefficients(spec)
         peak_in = math.sqrt(a1 / (3.0 * a3))
-        env = np.abs(x)
-        shrink = np.ones_like(env)
-        np.divide(peak_in, env, out=shrink, where=env > peak_in)
-        clipped = env * shrink
-        y = (a1 - a3 * clipped * clipped) * shrink * x
+        flat = x.reshape(-1)
+        env = np.abs(flat)
+        gain = a1 - a3 * env * env
+        clip = np.flatnonzero(env > peak_in)
+        shrink = peak_in / env[clip]
+        clipped = env[clip] * shrink
+        gain[clip] = (a1 - a3 * clipped * clipped) * shrink
+        y = (gain * flat).reshape(x.shape)
     return complex(y) if y.ndim == 0 else y
 
 

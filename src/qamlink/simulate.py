@@ -17,7 +17,10 @@ The run is split into fixed-size symbol blocks. Every block draws its
 symbols as packed uint8 labels and carries them to the error count, the
 popcount of their XOR with the demapped labels. Labels and noise come from
 SFC64 streams keyed by (seed, block, purpose), so results are bit-identical
-regardless of how many worker threads execute the blocks.
+regardless of how many worker threads execute the blocks. A run is a Plan:
+its block jobs and the block-order reduction of their results. run_plans
+queues the blocks of several runs on one thread pool, so a command's runs
+share its workers with no barrier between them.
 """
 
 from __future__ import annotations
@@ -25,9 +28,12 @@ from __future__ import annotations
 import math
 import os
 import warnings
+from collections import deque
+from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from statistics import NormalDist
+from typing import Any
 
 import numpy as np
 
@@ -176,7 +182,7 @@ def welch_psd(samples, sample_rate_hz: float, segment_len: int):
     Returns (frequencies, linear density) with frequencies spanning +/-fs/2.
     The density integrates to the time-domain mean power (Parseval). The
     segments are strided views of the input, transformed a chunk at a time
-    so the windowed copies stay a few MB.
+    on a thread pool so the windowed copies stay a few MB per worker.
     """
     samples = np.asarray(samples, dtype=np.complex128)
     if samples.size < 2 * segment_len:
@@ -187,11 +193,18 @@ def welch_psd(samples, sample_rate_hz: float, segment_len: int):
     segments = np.lib.stride_tricks.sliding_window_view(samples, segment_len)[::step]
     # periodic Hann window
     window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(segment_len) / segment_len)
-    power = np.zeros(segment_len)
-    for start in range(0, len(segments), _WELCH_CHUNK_SEGMENTS):
+
+    def chunk_power(chunk: int) -> np.ndarray:
+        start = chunk * _WELCH_CHUNK_SEGMENTS
         spectra = np.fft.fft(segments[start:start + _WELCH_CHUNK_SEGMENTS] * window,
                              axis=1)
-        power += np.sum(spectra.real ** 2 + spectra.imag ** 2, axis=0)
+        return np.sum(spectra.real ** 2 + spectra.imag ** 2, axis=0)
+
+    # the chunk sums are added in chunk order, so the worker count changes
+    # no bit of the estimate
+    power = next(run_plans([Plan(
+        math.ceil(len(segments) / _WELCH_CHUNK_SEGMENTS), chunk_power,
+        lambda sums: sum(sums, np.zeros(segment_len)))]))
     density = power / (len(segments) * sample_rate_hz * np.sum(window ** 2))
     freqs = np.fft.fftfreq(segment_len, 1.0 / sample_rate_hz)
     return np.fft.fftshift(freqs), np.fft.fftshift(density)
@@ -480,48 +493,76 @@ def worker_count(n_jobs: int) -> int:
     return max(1, min(cap, n_jobs))
 
 
-def _run_blocks(job, n_blocks: int) -> list:
-    """job(block) for every block on one thread pool, results in block order."""
-    with ThreadPoolExecutor(max_workers=worker_count(n_blocks)) as pool:
-        return list(pool.map(job, range(n_blocks)))
+@dataclass(frozen=True)
+class Plan:
+    """One run as independent block jobs: ``job(block)`` for every block
+    below ``n_blocks``, then ``finish`` of their results in block order."""
+
+    n_blocks: int
+    job: Callable[[int], Any]
+    finish: Callable[[list], Any]
 
 
-def run_link_sim(config: SimConfig) -> SimResult:
-    """Run the Monte-Carlo link simulation described by config.
+def run_plans(plans: Iterable[Plan]) -> Iterator:
+    """Each plan's finished result, in plan order, from one thread pool.
+
+    Every plan's jobs are queued at the first ``next``, plan after plan, so
+    the workers go on to later plans' blocks while an earlier plan's last
+    blocks finish: there is no barrier between plans. A plan's block results
+    are dropped once its ``finish`` returns. Closing the iterator early
+    cancels the jobs not yet started.
+    """
+    plans = list(plans)
+    pool = ThreadPoolExecutor(max_workers=worker_count(sum(p.n_blocks for p in plans)))
+    try:
+        queued = deque([pool.submit(plan.job, block) for block in range(plan.n_blocks)]
+                       for plan in plans)
+        for plan in plans:
+            yield plan.finish([future.result() for future in queued.popleft()])
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def link_sim_plan(config: SimConfig) -> Plan:
+    """The Monte-Carlo blocks of config, finishing in its SimResult.
 
     Deterministic for a fixed seed under any worker count: blocks own their
     RNG streams and the reduction happens in block order.
     """
     ctx = _build_context(config)
     sizes = _block_sizes(ctx.n_symbols)
-    stats = _run_blocks(lambda i: _simulate_block(config, ctx, i, sizes[i]), len(sizes))
 
-    n_errors = sum(s.n_errors for s in stats)
-    ref_energy = sum(s.ref_energy for s in stats)
-    tx_err = sum(s.tx_err_energy for s in stats)
-    rx_err = sum(s.rx_err_energy for s in stats)
+    def finish(stats: list[_BlockStats]) -> SimResult:
+        n_errors = sum(s.n_errors for s in stats)
+        ref_energy = sum(s.ref_energy for s in stats)
+        tx_err = sum(s.tx_err_energy for s in stats)
+        rx_err = sum(s.rx_err_energy for s in stats)
+        return SimResult(
+            measured_ber=n_errors / config.n_bits,
+            ber_confidence=wilson_interval(n_errors, config.n_bits),
+            tx_evm_pct=100.0 * math.sqrt(tx_err / ref_energy),
+            rx_evm_pct=100.0 * math.sqrt(rx_err / ref_energy),
+            tx_constellation=np.concatenate([s.tx_cloud for s in stats]),
+            rx_constellation=np.concatenate([s.rx_cloud for s in stats]),
+            n_bits_run=config.n_bits,
+            n_bit_errors=n_errors,
+        )
 
-    return SimResult(
-        measured_ber=n_errors / config.n_bits,
-        ber_confidence=wilson_interval(n_errors, config.n_bits),
-        tx_evm_pct=100.0 * math.sqrt(tx_err / ref_energy),
-        rx_evm_pct=100.0 * math.sqrt(rx_err / ref_energy),
-        tx_constellation=np.concatenate([s.tx_cloud for s in stats]),
-        rx_constellation=np.concatenate([s.rx_cloud for s in stats]),
-        n_bits_run=config.n_bits,
-        n_bit_errors=n_errors,
-    )
+    return Plan(len(sizes), lambda i: _simulate_block(config, ctx, i, sizes[i]), finish)
 
 
-def transmit_waveform(config: SimConfig) -> tuple[np.ndarray, float, float]:
-    """Steady-state transmitted waveform (TX side only), its sample rate,
-    and its mean power in dBm.
+def run_link_sim(config: SimConfig) -> SimResult:
+    """Run the Monte-Carlo link simulation described by config."""
+    return next(run_plans([link_sim_plan(config)]))
 
-    Uses the same blocks and per-block RNG streams as run_link_sim, so the
-    waveform is the one the full simulation would transmit, up to a
-    1 M-sample spectrum window. Only the blocks needed for that window run,
-    at full rate on the same block pool, each writing the samples between
-    its guards into the window.
+
+def window_plan(config: SimConfig) -> Plan:
+    """The TX-only blocks of config's spectrum window, finishing in
+    transmit_waveform's result.
+
+    Only the blocks needed for the window run, at full rate, each writing
+    the samples between its guards into the one window array and summing
+    their power: no window-sized temporary.
     """
     ctx = _build_context(config)
     window = np.empty(min(ctx.n_symbols * ctx.sps, _PSD_TARGET_SAMPLES), np.complex128)
@@ -535,6 +576,18 @@ def transmit_waveform(config: SimConfig) -> tuple[np.ndarray, float, float]:
         dest[...] = tx[first:first + dest.size]
         return float(_real_dot(dest, dest))
 
-    # each job sums its part of the window's power: no window-sized temporary
-    power = sum(_run_blocks(job, len(sizes)))
-    return window, ctx.sample_rate_hz, watts_to_dbm(power / window.size)
+    def finish(powers: list[float]) -> tuple[np.ndarray, float, float]:
+        return window, ctx.sample_rate_hz, watts_to_dbm(sum(powers) / window.size)
+
+    return Plan(len(sizes), job, finish)
+
+
+def transmit_waveform(config: SimConfig) -> tuple[np.ndarray, float, float]:
+    """Steady-state transmitted waveform (TX side only), its sample rate,
+    and its mean power in dBm.
+
+    Uses the same blocks and per-block RNG streams as run_link_sim, so the
+    waveform is the one the full simulation would transmit, up to a
+    1 M-sample spectrum window.
+    """
+    return next(run_plans([window_plan(config)]))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from qamlink.config import RunConfig
 from qamlink.modem import (
     SUPPORTED_ORDERS,
+    _nearest_axis_label,
     build_constellation,
     demap_hard,
     ebn0_for_ber,
@@ -171,6 +172,29 @@ class TestMapping:
             got = demap_hard(sample, cmap)
             assert got.dtype == np.uint8
             np.testing.assert_array_equal(got, [winner])
+
+    @orders
+    def test_interleaved_pass_matches_per_axis_demap(self, order):
+        """One pass over the interleaved floats gives the per-axis demapper's
+        labels bit for bit, midpoint ties included, for any input layout."""
+        cmap = build_constellation(order)
+        levels = cmap.axis_levels
+        mids = 0.5 * (levels[:-1] + levels[1:])
+        rng = np.random.default_rng(order)
+        axis = np.concatenate([rng.uniform(1.5 * levels[0], 1.5 * levels[-1], 2000),
+                               mids, levels])
+        symbols = axis + 1j * rng.permutation(axis)
+        half = cmap.bits_per_symbol // 2
+
+        def per_axis(s):
+            return (_nearest_axis_label(s.real, cmap) << half) | _nearest_axis_label(
+                s.imag, cmap)
+
+        for sample in (symbols, symbols[::3], symbols[:2000].reshape(40, 50),
+                       symbols[-1:].reshape(())):
+            got = demap_hard(sample, cmap)
+            assert got.dtype == np.uint8 and got.shape == sample.shape
+            np.testing.assert_array_equal(got, per_axis(sample))
 
     @orders
     def test_demap_matches_sorted_search_oracle(self, order):

@@ -157,6 +157,33 @@ class TestAmplifier:
         y = amplifier_transfer(x, PA)
         np.testing.assert_allclose(np.angle(y), np.angle(x), atol=1e-12)
 
+    def test_matches_masked_divide_formula(self):
+        """Drives from 0.1x to 5x the polynomial's peak input, 0% to 98%
+        clipped, and a 0-d input give the masked-divide form bit for bit."""
+        a1, a3 = rfchain._polynomial_coefficients(PA)
+        peak_in = math.sqrt(a1 / (3.0 * a3))
+
+        def masked_divide(x):
+            env = np.abs(x)
+            shrink = np.ones_like(env)
+            np.divide(peak_in, env, out=shrink, where=env > peak_in)
+            clipped = env * shrink
+            return (a1 - a3 * clipped * clipped) * shrink * x
+
+        rng = np.random.default_rng(9)
+        x = complex_noise(rng, 32768, 1.0)
+        for drive in (0.1, 0.5, 1.0, 2.0, 5.0):
+            scaled = drive * peak_in * x
+            np.testing.assert_array_equal(amplifier_transfer(scaled, PA),
+                                          masked_divide(scaled))
+        edges = np.array([0.0, peak_in, np.nextafter(peak_in, np.inf), 3.0 * peak_in])
+        np.testing.assert_array_equal(amplifier_transfer(edges + 0j, PA),
+                                      masked_divide(edges + 0j))
+        for value in (0.3 * peak_in, 2.0 * peak_in):
+            y = amplifier_transfer(value * (1 - 1j), PA)
+            assert isinstance(y, complex)
+            assert y == masked_divide(np.complex128(value * (1 - 1j)))
+
     def test_envelope_monotone_and_clipped(self):
         amps = np.linspace(0.0, 5.0, 4000)
         out = np.abs(amplifier_transfer(amps + 0j, PA))

@@ -2,6 +2,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -110,6 +112,21 @@ class TestPulseShaping:
         assert slews[0] < slews[1]
 
 
+def serial_welch(samples, sample_rate_hz, segment_len):
+    """welch_psd as a serial loop over 256-segment chunks, summing each
+    chunk's periodograms into one running total."""
+    step = segment_len - segment_len // 2
+    segments = np.lib.stride_tricks.sliding_window_view(samples, segment_len)[::step]
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(segment_len) / segment_len)
+    power = np.zeros(segment_len)
+    for start in range(0, len(segments), 256):
+        spectra = np.fft.fft(segments[start:start + 256] * window, axis=1)
+        power += np.sum(spectra.real ** 2 + spectra.imag ** 2, axis=0)
+    density = power / (len(segments) * sample_rate_hz * np.sum(window ** 2))
+    freqs = np.fft.fftfreq(segment_len, 1.0 / sample_rate_hz)
+    return np.fft.fftshift(freqs), np.fft.fftshift(density)
+
+
 class TestSpectrumEstimate:
     def test_single_tone_peak_location(self):
         fs = 1e9
@@ -157,6 +174,23 @@ class TestSpectrumEstimate:
             scaling="density")
         np.testing.assert_array_equal(freqs, np.fft.fftshift(ref_freqs))
         np.testing.assert_allclose(density, np.fft.fftshift(ref_density), rtol=1e-12)
+
+    @pytest.mark.parametrize("n_segments", [3, 255, 256, 512, 4095])
+    def test_welch_psd_matches_serial_chunk_loop(self, monkeypatch, n_segments):
+        """The chunk sums run on a pool and are added in chunk order: the
+        estimate equals the serial loop's bit for bit at any worker count,
+        whether or not the segments fill whole chunks (4,095 segments are
+        the 1 M-sample spectrum window's)."""
+        segment_len = 512
+        x = complex_noise(noise_generator(n_segments, 0),
+                          (n_segments + 1) * segment_len // 2 + 7, 1.0)
+        expected = serial_welch(x, 8e6, segment_len)
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 4)
+        for threads in ("1", "2", "4"):
+            monkeypatch.setenv("QAMLINK_THREADS", threads)
+            freqs, density = welch_psd(x, 8e6, segment_len)
+            np.testing.assert_array_equal(freqs, expected[0])
+            np.testing.assert_array_equal(density, expected[1])
 
     def test_too_short_input_rejected(self):
         with pytest.raises(ValueError):
@@ -664,6 +698,113 @@ class TestSymbolRateBlocks:
             counts.clear()
             transmit_waveform(config)
             assert sum(counts) == expected_window, threads
+
+
+class TestOnePool:
+    """Every block job of a command runs on one thread pool."""
+
+    def test_simulate_overlaps_window_and_monte_carlo_blocks(self, monkeypatch,
+                                                             tmp_path):
+        """1.2 Mbit of paper.cfg: 4 full-rate window blocks and 5 Monte-Carlo
+        blocks run on the threads of one pool. The last window block waits
+        until a Monte-Carlo block has started; with a barrier between the two
+        runs, or the Monte-Carlo run first, no Monte-Carlo block would start
+        while a window block runs."""
+        real_tx, real_sim = simulate._tx_block, simulate._simulate_block
+        running, overlaps, pools = set(), [], set()
+        started = threading.Event()
+
+        def pool_of_this_thread():
+            pools.add(threading.current_thread().name.rpartition("_")[0])
+
+        def tx_block(config, ctx, block, n_sym, *, full_rate):
+            if not full_rate:
+                return real_tx(config, ctx, block, n_sym, full_rate=full_rate)
+            pool_of_this_thread()
+            running.add(block)
+            try:
+                if block == 3:
+                    started.wait(timeout=10)
+                return real_tx(config, ctx, block, n_sym, full_rate=full_rate)
+            finally:
+                running.discard(block)
+
+        def simulate_block(*args):
+            pool_of_this_thread()
+            overlaps.append(bool(running))
+            started.set()
+            return real_sim(*args)
+
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("QAMLINK_THREADS", "2")
+        monkeypatch.setattr(simulate, "_tx_block", tx_block)
+        monkeypatch.setattr(simulate, "_simulate_block", simulate_block)
+        assert cli.main(["simulate", "--config", str(PAPER_CFG), "--bits", "1200000",
+                         "--out", str(tmp_path)]) == 0
+        assert len(overlaps) == 5
+        assert any(overlaps)
+        assert len(pools) == 1 and next(iter(pools)).startswith("ThreadPoolExecutor")
+
+    def test_sweep_builds_one_pool(self, monkeypatch, tmp_path):
+        """A 3-point ber-sweep queues all its blocks on one pool, not one per
+        point."""
+        pools = []
+        real = simulate.ThreadPoolExecutor
+
+        def counting(*args, **kwargs):
+            pools.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, "ThreadPoolExecutor", counting)
+        assert cli.main(["ber-sweep", "--config", str(QPSK_CFG), "--from", "4",
+                         "--to", "6", "--bits", "200000", "--out", str(tmp_path)]) == 0
+        assert len(pools) == 1
+
+    def test_sweep_rows_are_per_point_runs(self, monkeypatch, tmp_path):
+        """Point i of a flattened sweep reads what run_link_sim gives for it
+        alone, at 1 and 2 workers; each point has 4 blocks."""
+        cfg = load_config(str(QPSK_CFG))
+        expected = []
+        for i, ebn0 in enumerate((3.0, 4.5, 6.0)):
+            result = run_link_sim(cfg.sim_config(n_bits=200_000, seed=cfg.seed + i,
+                                                 calibration_ebn0_db=ebn0))
+            lo, hi = result.ber_confidence
+            expected.append(f"{result.measured_ber:.8e},{lo:.8e},{hi:.8e}")
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
+        for threads in ("1", "2"):
+            monkeypatch.setenv("QAMLINK_THREADS", threads)
+            out = tmp_path / threads
+            assert cli.main(["ber-sweep", "--config", str(QPSK_CFG), "--from", "3",
+                             "--to", "6", "--step", "1.5", "--bits", "200000",
+                             "--out", str(out)]) == 0
+            rows = (out / "waterfall.csv").read_text().splitlines()[1:]
+            assert [row.split(",", 2)[2] for row in rows] == expected, threads
+
+    def test_closing_early_cancels_queued_jobs(self, monkeypatch):
+        """One worker, a one-block plan, then a slow three-block plan: after
+        the first result, closing the iterator lets the running block finish
+        and cancels the rest. A failing block raises at its plan's turn."""
+        monkeypatch.setenv("QAMLINK_THREADS", "1")
+        ran = []
+
+        def slow(block):
+            ran.append(block)
+            time.sleep(0.2)
+
+        results = simulate.run_plans([simulate.Plan(1, lambda i: i, sum),
+                                      simulate.Plan(3, slow, len)])
+        assert next(results) == 0
+        results.close()
+        assert ran in ([], [0])
+
+        def failing(block):
+            raise ValueError(f"block {block}")
+
+        results = simulate.run_plans([simulate.Plan(2, lambda i: i, sum),
+                                      simulate.Plan(2, failing, len)])
+        assert next(results) == 1
+        with pytest.raises(ValueError, match="block 0"):
+            next(results)
 
 
 def test_worker_count_never_exceeds_cpus_or_jobs(monkeypatch):
