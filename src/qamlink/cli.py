@@ -145,11 +145,9 @@ def cmd_simulate(args) -> int:
         noise_enabled=not args.no_noise,
         pa_linear=args.linear_pa,
     )
-    # one pool: the window blocks go first, the lighter Monte-Carlo blocks
-    # fill its tail
-    (wave, sample_rate, tx_power_dbm), result = run_plans(
+    (wave, sample_rate, tx_power_dbm, noise_var_w), result = run_plans(
         [window_plan(config), link_sim_plan(config)])
-    psd = estimate_spectrum(wave, sample_rate)
+    psd = estimate_spectrum(wave, sample_rate, noise_var_w)
     lines = _sim_report_lines(config, result, tx_power_dbm, sample_rate)
     _write_psd_csv(os.path.join(cfg.output_dir, PSD_CSV_NAME), psd)
     _write_lines(os.path.join(cfg.output_dir, SIM_REPORT_NAME), lines)
@@ -212,8 +210,8 @@ def cmd_spectrum(args) -> int:
         noise_enabled=not args.no_noise,
         pa_linear=args.linear_pa,
     )
-    wave, sample_rate, _ = transmit_waveform(config)
-    psd = estimate_spectrum(wave, sample_rate)
+    wave, sample_rate, _, noise_var_w = transmit_waveform(config)
+    psd = estimate_spectrum(wave, sample_rate, noise_var_w)
     _write_psd_csv(os.path.join(cfg.output_dir, PSD_CSV_NAME), psd)
     print(f"wrote {psd.shape[0]} PSD bins at {sample_rate:.0f} Hz sample rate "
           f"to {os.path.join(cfg.output_dir, PSD_CSV_NAME)}")

@@ -8,10 +8,11 @@ symbol instants, one phase of the bank: every Monte-Carlo block of
 run_link_sim runs at the instants. Only the TX power spectrum needs the
 full-rate waveform, all phases of the bank; transmit_waveform computes it in
 a TX-only pass over the blocks that feed the spectrum window, with the same
-per-block streams, each block writing its samples into the one window
-array. Every block normalises its drive on a closed form of its full-rate
-pulse power between the guards, the samples it transmits; calibrated AWGN
-is referred to the link budget's received power.
+label streams, each block writing its samples into the one window array.
+That pass draws no noise: the TX chain's white noise enters its power and
+spectrum as a closed-form variance. Every block normalises its drive on a
+closed form of its full-rate pulse power between the guards, the samples it
+transmits; calibrated AWGN is referred to the link budget's received power.
 
 The run is split into fixed-size symbol blocks. Every block draws its
 symbols as packed uint8 labels and carries them to the error count, the
@@ -46,7 +47,7 @@ from .modem import (
     demap_hard,
     map_bits,
 )
-from .rfchain import ChainSpec, chain_transfer
+from .rfchain import ChainSpec, StageSpec, cascade, chain_transfer, stage_added_noise_watts
 from .units import dbm_to_watts, watts_to_dbm
 
 Z_95 = NormalDist().inv_cdf(0.975)
@@ -210,17 +211,21 @@ def welch_psd(samples, sample_rate_hz: float, segment_len: int):
     return np.fft.fftshift(freqs), np.fft.fftshift(density)
 
 
-def estimate_spectrum(samples, sample_rate_hz: float) -> np.ndarray:
+def estimate_spectrum(samples, sample_rate_hz: float,
+                      noise_var_w: float = 0.0) -> np.ndarray:
     """PSD estimate as (frequency_hz, power_db) pairs, dB relative to the peak.
 
     Segments are 512 samples long, or for inputs shorter than 1024 samples
     the largest power of two that fits two segments into the input.
+    The expected density of independent white noise of per-sample variance
+    ``noise_var_w``, noise_var_w / sample_rate_hz, is added before that.
     """
     samples = np.asarray(samples)
     if samples.size < 4:
         raise ValueError(f"input too short for a spectrum estimate: {samples.size}")
     segment_len = min(_PSD_SEGMENT_SAMPLES, 1 << int(math.log2(samples.size / 2)))
     freqs, density = welch_psd(samples, sample_rate_hz, segment_len)
+    density += noise_var_w / sample_rate_hz
     peak = density.max()
     if peak <= 0.0:
         raise ValueError("input has no power; spectrum undefined")
@@ -417,21 +422,23 @@ def _tx_block(config: SimConfig, ctx: _Context, block: int, n_sym: int, *,
 
     The waveform is full rate with guards on both ends, or else only its
     n_sym symbol instants, one phase of the pulse shaper's filter bank: every
-    later TX stage is memoryless with white noise. Either way the drive is
-    normalised on the full-rate pulse's mean power between the guards, in
-    closed form.
+    later TX stage is memoryless with white noise, which only the instants
+    draw. Either way the drive is normalised on the full-rate pulse's mean
+    power between the guards, in closed form.
     """
     base = block * _STREAMS_PER_BLOCK
     bits_rng = noise_generator(config.seed, base + _STREAM_BITS)
     n_total = n_sym + 2 * ctx.guard_symbols
-    labels = bits_rng.integers(0, ctx.cmap.order, n_total, dtype=np.uint8)
+    # a uniform byte is the cheapest draw; every order is a power of two
+    labels = bits_rng.integers(0, 256, n_total, dtype=np.uint8)
+    labels &= ctx.cmap.order - 1
     symbols = map_bits(labels, ctx.cmap)
     scale = math.sqrt(ctx.input_power_w / ctx.pulse.mean_power(symbols, ctx.guard_symbols))
     wave = (pulse_shape(symbols, config) if full_rate
             else ctx.pulse.at_instants(symbols, ctx.guard_symbols, n_sym))
     wave *= scale
     tx_rng = (noise_generator(config.seed, base + _STREAM_TX)
-              if ctx.noise_mode == "thermal" else None)
+              if ctx.noise_mode == "thermal" and not full_rate else None)
     wave = chain_transfer(wave, ctx.tx_chain, ctx.bandwidth_hz, tx_rng)
     return labels, symbols, wave
 
@@ -562,9 +569,18 @@ def window_plan(config: SimConfig) -> Plan:
 
     Only the blocks needed for the window run, at full rate, each writing
     the samples between its guards into the one window array and summing
-    their power: no window-sized temporary.
+    their power: no window-sized temporary. They draw no noise: the TX
+    chain's white noise, independent of the signal, enters the power and the
+    Welch density as its expectation, the Friis cascade's kTB(F - 1)G, so
+    through the PA's small-signal gain (Jeruchim, Balaban & Shanmugan,
+    *Simulation of Communication Systems*, performance estimation).
     """
     ctx = _build_context(config)
+    noise_var_w = 0.0
+    if ctx.noise_mode == "thermal":
+        tx = cascade(ctx.tx_chain)
+        noise_var_w = stage_added_noise_watts(
+            StageSpec("tx chain", tx.total_gain_db, tx.total_nf_db), ctx.bandwidth_hz)
     window = np.empty(min(ctx.n_symbols * ctx.sps, _PSD_TARGET_SAMPLES), np.complex128)
     block_samples = _SYMBOLS_PER_BLOCK * ctx.sps
     sizes = _block_sizes(ctx.n_symbols)[:math.ceil(window.size / block_samples)]
@@ -576,18 +592,20 @@ def window_plan(config: SimConfig) -> Plan:
         dest[...] = tx[first:first + dest.size]
         return float(_real_dot(dest, dest))
 
-    def finish(powers: list[float]) -> tuple[np.ndarray, float, float]:
-        return window, ctx.sample_rate_hz, watts_to_dbm(sum(powers) / window.size)
+    def finish(powers: list[float]) -> tuple[np.ndarray, float, float, float]:
+        power_w = sum(powers) / window.size + noise_var_w
+        return window, ctx.sample_rate_hz, watts_to_dbm(power_w), noise_var_w
 
     return Plan(len(sizes), job, finish)
 
 
-def transmit_waveform(config: SimConfig) -> tuple[np.ndarray, float, float]:
+def transmit_waveform(config: SimConfig) -> tuple[np.ndarray, float, float, float]:
     """Steady-state transmitted waveform (TX side only), its sample rate,
-    and its mean power in dBm.
+    its mean power in dBm, and the variance of the TX chain's white noise.
 
-    Uses the same blocks and per-block RNG streams as run_link_sim, so the
-    waveform is the one the full simulation would transmit, up to a
-    1 M-sample spectrum window.
+    Uses the same blocks and label streams as run_link_sim, so the waveform
+    is the noise-free signal the full simulation would transmit, up to a
+    1 M-sample spectrum window. The power includes the noise variance; pass
+    it to estimate_spectrum to add its density.
     """
     return next(run_plans([window_plan(config)]))

@@ -144,8 +144,8 @@ def test_criterion_6_spectrum_nulls():
     cfg = RunConfig()
     cfg.pulse_shape = "rectangular"
     cfg.n_bits = 1_048_576
-    wave, fs, _ = transmit_waveform(cfg.sim_config())
-    psd = estimate_spectrum(wave, fs)
+    wave, fs, _, noise_var_w = transmit_waveform(cfg.sim_config())
+    psd = estimate_spectrum(wave, fs, noise_var_w)
     freqs, power = psd[:, 0], psd[:, 1]
     bin_width = freqs[1] - freqs[0]
     details = []
@@ -218,9 +218,9 @@ def test_criterion_8_property_suites(monkeypatch):
     for threads in ("1", "2", "5"):
         monkeypatch.setenv("QAMLINK_THREADS", threads)
         result = run_link_sim(config)
-        wave, fs, tx_power_dbm = transmit_waveform(config)
+        wave, fs, tx_power_dbm, noise_var_w = transmit_waveform(config)
         fingerprint = (result.measured_ber, result.tx_evm_pct, result.rx_evm_pct,
-                       estimate_spectrum(wave, fs).tobytes(), tx_power_dbm,
+                       estimate_spectrum(wave, fs, noise_var_w).tobytes(), tx_power_dbm,
                        result.rx_constellation.tobytes())
         if reference is None:
             reference = fingerprint

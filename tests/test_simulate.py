@@ -13,11 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qamlink
-from qamlink import cli, simulate
+from qamlink import cli, rfchain, simulate
 from qamlink.channel import complex_noise, friis_received_power, noise_generator
 from qamlink.config import RunConfig, load_config
 from qamlink.modem import SUPPORTED_ORDERS, build_constellation, theoretical_ber
-from qamlink.units import dbm_to_watts
+from qamlink.rfchain import cascade
+from qamlink.units import THERMAL_NOISE_DBM_PER_HZ, dbm_to_watts
 from qamlink.simulate import (
     estimate_spectrum,
     gaussian_taps,
@@ -281,8 +282,8 @@ class TestRunLinkSim:
         assert result.tx_constellation.size <= 4096
         assert result.rx_constellation.size <= 4096
         assert result.n_bits_run == 200_000
-        wave, fs, _ = transmit_waveform(cfg.sim_config())
-        psd = estimate_spectrum(wave, fs)
+        wave, fs, _, noise_var_w = transmit_waveform(cfg.sim_config())
+        psd = estimate_spectrum(wave, fs, noise_var_w)
         assert psd[0, 0] == pytest.approx(-fs / 2, rel=1e-9)
         assert psd[-1, 0] < fs / 2
 
@@ -295,10 +296,10 @@ class TestRunLinkSim:
         assert a.tx_evm_pct == b.tx_evm_pct
         assert a.rx_evm_pct == b.rx_evm_pct
         np.testing.assert_array_equal(a.rx_constellation, b.rx_constellation)
-        (wave_a, _, power_a), (wave_b, _, power_b) = (
+        (wave_a, *rest_a), (wave_b, *rest_b) = (
             transmit_waveform(cfg.sim_config()) for _ in range(2))
         np.testing.assert_array_equal(wave_a, wave_b)
-        assert power_a == power_b
+        assert rest_a == rest_b
 
     def test_worker_count_does_not_change_results(self, monkeypatch):
         """Multi-block run reduced on one thread and on four is bit-identical,
@@ -351,11 +352,12 @@ class TestRunLinkSim:
 
     def test_transmit_waveform_is_the_window_blocks_interiors(self, monkeypatch):
         """The window holds each window block's full-rate samples between
-        its guards, and its power is their mean square."""
+        its guards, and its power is their mean square plus the TX noise
+        variance."""
         cfg = RunConfig()
         cfg.n_bits = 80_000
         config = cfg.sim_config()
-        wave, fs, power_dbm = transmit_waveform(config)
+        wave, fs, power_dbm, noise_var_w = transmit_waveform(config)
         assert wave.size == 80_000
         assert fs == 8 * 125e6
         ctx = simulate._build_context(config)
@@ -363,7 +365,7 @@ class TestRunLinkSim:
         first = ctx.guard_symbols * ctx.sps
         np.testing.assert_array_equal(wave, tx[first:first + wave.size])
         assert power_dbm == pytest.approx(
-            10.0 * math.log10(np.mean(np.abs(wave) ** 2)) + 30.0, abs=1e-9)
+            10.0 * math.log10(np.mean(np.abs(wave) ** 2) + noise_var_w) + 30.0, abs=1e-9)
 
         # 1,048,576 bits of paper.cfg fill the window from 4 blocks, which
         # run on the block pool and write into one window array; at 4
@@ -384,7 +386,7 @@ class TestRunLinkSim:
 
                 monkeypatch.setattr(simulate, "_tx_block", counting)
                 monkeypatch.setenv("QAMLINK_THREADS", threads)
-                wave, _, _ = transmit_waveform(config)
+                wave = transmit_waveform(config)[0]
                 assert sorted(calls) == [0, 1, 2, 3], threads
                 waves.append(wave)
         finally:
@@ -408,6 +410,28 @@ class TestRunLinkSim:
         finally:
             tracemalloc.stop()
         assert peak < 2 * wave.nbytes
+
+    @pytest.mark.parametrize("order", SUPPORTED_ORDERS)
+    def test_labels_are_uniform_masked_bytes(self, order):
+        """A block's labels are its bits stream's uniform byte draw masked to
+        the order, so order-256 labels are the unmasked draw; over 8 blocks
+        they pass a chi-square uniformity test."""
+        chi2 = pytest.importorskip("scipy.stats").chi2
+        config = calibration_config(order=order, n_bits=96_000, seed=11)
+        ctx = simulate._build_context(config)
+        labels = []
+        for block in range(8):
+            drawn = simulate._tx_block(config, ctx, block, simulate._SYMBOLS_PER_BLOCK,
+                                       full_rate=False)[0]
+            stream = block * simulate._STREAMS_PER_BLOCK + simulate._STREAM_BITS
+            draw = noise_generator(11, stream).integers(0, 256, drawn.size, dtype=np.uint8)
+            np.testing.assert_array_equal(drawn, draw & (order - 1))
+            labels.append(drawn)
+        counts = np.bincount(np.concatenate(labels), minlength=order)
+        assert counts.size == order
+        expected = counts.sum() / order
+        statistic = np.sum((counts - expected) ** 2) / expected
+        assert statistic < chi2.ppf(1.0 - 1e-4, order - 1), order
 
     @pytest.mark.parametrize("order", SUPPORTED_ORDERS)
     def test_ideal_chain_without_noise_reads_zero_evm(self, order):
@@ -664,7 +688,7 @@ class TestSymbolRateBlocks:
         config = load_config(str(REPO_ROOT / path)).sim_config(n_bits=n_bits, seed=7,
                                                                noise_enabled=False)
         ctx = simulate._build_context(config)
-        wave, _, _ = transmit_waveform(config)
+        wave = transmit_waveform(config)[0]
         sizes = window_blocks(ctx)
         assert len(sizes) == n_window < len(simulate._block_sizes(ctx.n_symbols))
         instants = wave[ctx.sps // 2::ctx.sps]
@@ -678,14 +702,12 @@ class TestSymbolRateBlocks:
         """4 Mbit of paper.cfg: run_link_sim draws twice per symbol on each
         side (TX: before the PA and at its output; RX: at the LNA input and
         at the chain output), two complex or four real draws per side. The
-        TX-only window blocks of transmit_waveform draw their two complex
-        draws per full-rate sample, guards included."""
+        TX-only window blocks of transmit_waveform draw none: the window
+        carries the TX noise as its variance."""
         config = load_config(str(PAPER_CFG)).sim_config(n_bits=4_000_000)
         ctx = simulate._build_context(config)
         expected_sim = 8 * ctx.n_symbols
-        expected_window = sum(4 * (n + 2 * ctx.guard_symbols) * ctx.sps
-                              for n in window_blocks(ctx))
-        assert (expected_sim, expected_window) == (4_000_000, 4_195_072)
+        assert expected_sim == 4_000_000
 
         real = simulate.noise_generator
         for threads in ("1", "2"):
@@ -697,7 +719,99 @@ class TestSymbolRateBlocks:
             assert sum(counts) == expected_sim, threads
             counts.clear()
             transmit_waveform(config)
-            assert sum(counts) == expected_window, threads
+            assert sum(counts) == 0, threads
+
+
+def drawn_window(monkeypatch, config):
+    """transmit_waveform with the TX stage noise drawn: every full-rate
+    block runs its TX chain on the block's TX noise stream, as the Monte-
+    Carlo blocks do at the instants."""
+    local = threading.local()
+    real_tx, real_chain = simulate._tx_block, simulate.chain_transfer
+
+    def tx_block(config, ctx, block, n_sym, *, full_rate):
+        local.block = block
+        return real_tx(config, ctx, block, n_sym, full_rate=full_rate)
+
+    def chain_transfer(x, chain, bandwidth_hz=None, rng=None, input_noise_watts=0.0):
+        assert rng is None
+        stream = local.block * simulate._STREAMS_PER_BLOCK + simulate._STREAM_TX
+        return real_chain(x, chain, bandwidth_hz, noise_generator(config.seed, stream),
+                          input_noise_watts)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(simulate, "_tx_block", tx_block)
+        patch.setattr(simulate, "chain_transfer", chain_transfer)
+        return transmit_waveform(config)
+
+
+class TestWindowNoiseExpectation:
+    """The spectrum window draws no noise: the TX chain's white noise enters
+    its power and its Welch density as their expectations."""
+
+    def test_noise_variance_is_the_tx_cascade_output_noise(self):
+        """kTB(F - 1)G from the Friis cascade, which equals the chain's folded
+        runs composed through the PA's small-signal gain."""
+        config = load_config(str(PAPER_CFG)).sim_config(n_bits=80_000)
+        ctx = simulate._build_context(config)
+        tx = cascade(ctx.tx_chain)
+        ktb = 10.0 ** ((THERMAL_NOISE_DBM_PER_HZ - 30.0) / 10.0) * ctx.bandwidth_hz
+        expected = ktb * (10.0 ** (tx.total_nf_db / 10.0) - 1.0) * 10.0 ** (
+            tx.total_gain_db / 10.0)
+        noise_var_w = transmit_waveform(config)[3]
+        assert noise_var_w == pytest.approx(expected, rel=1e-12, abs=0)
+        assert noise_var_w == pytest.approx(2.4201e-8, rel=1e-4)
+        folded = 0.0
+        for gain, noise_w, stage in rfchain._folded_runs(ctx.tx_chain, ctx.bandwidth_hz,
+                                                         True, 0.0):
+            folded = folded * gain ** 2 + noise_w
+            if stage is not None:
+                folded *= 10.0 ** (stage.gain_db / 10.0)
+        assert noise_var_w == pytest.approx(folded, rel=1e-12, abs=0)
+
+    def test_expected_density_matches_drawn_window(self, monkeypatch):
+        """4 seeds of 1,048,576 bits of paper.cfg against the window with the
+        TX noise drawn: the mean beyond 250 MHz agrees within 0.03 dB, every
+        bin within 0.2 dB and the power within 0.001 dB. Without the density
+        term the far band reads 0.2-0.5 dB low."""
+        for seed in (41, 42, 43, 44):
+            config = load_config(str(PAPER_CFG)).sim_config(n_bits=1_048_576, seed=seed)
+            wave, fs, power_dbm, noise_var_w = transmit_waveform(config)
+            drawn, _, drawn_power_dbm, _ = drawn_window(monkeypatch, config)
+            expected = estimate_spectrum(wave, fs, noise_var_w)
+            reference = estimate_spectrum(drawn, fs)
+            far = np.abs(reference[:, 0]) >= 250e6
+
+            def far_db(psd):
+                return 10.0 * np.log10(np.mean(10.0 ** (psd[far, 1] / 10.0)))
+
+            assert far_db(expected) == pytest.approx(far_db(reference), abs=0.03), seed
+            np.testing.assert_allclose(expected[:, 1], reference[:, 1], rtol=0, atol=0.2)
+            assert power_dbm == pytest.approx(
+                10.0 * math.log10(np.mean(np.abs(drawn) ** 2)) + 30.0, abs=1e-3)
+            assert drawn_power_dbm == pytest.approx(power_dbm, abs=1e-3)
+
+    def test_window_without_stage_noise_is_the_noise_free_welch(self, tmp_path):
+        """The window is the same noise-free signal in every noise mode; under
+        --no-noise and --ebn0 its variance is 0 and both commands write the
+        plain Welch estimate of that window."""
+        bits, seed = 300_000, 6
+        config = load_config(str(PAPER_CFG)).sim_config(n_bits=bits, seed=seed)
+        wave, fs, _, noise_var_w = transmit_waveform(config)
+        assert noise_var_w > 0.0
+        for options in ({"noise_enabled": False}, {"calibration_ebn0_db": 20.0}):
+            quiet, _, _, quiet_var = transmit_waveform(
+                load_config(str(PAPER_CFG)).sim_config(n_bits=bits, seed=seed, **options))
+            np.testing.assert_array_equal(quiet, wave)
+            assert quiet_var == 0.0
+        cli._write_psd_csv(str(tmp_path / "welch.csv"), estimate_spectrum(wave, fs))
+        expected = (tmp_path / "welch.csv").read_bytes()
+        common = ["--config", str(PAPER_CFG), "--bits", str(bits), "--seed", str(seed)]
+        for command in (["simulate", "--no-noise"], ["simulate", "--ebn0", "20"],
+                        ["spectrum", "--no-noise"]):
+            out = tmp_path / "-".join(command)
+            assert cli.main([*command, *common, "--out", str(out)]) == 0
+            assert (out / "psd.csv").read_bytes() == expected, command
 
 
 class TestOnePool:
