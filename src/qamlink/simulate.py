@@ -8,11 +8,12 @@ symbol instants, one phase of the bank: every Monte-Carlo block of
 run_link_sim runs at the instants. Only the TX power spectrum needs the
 full-rate waveform, all phases of the bank; transmit_waveform computes it in
 a TX-only pass over the blocks that feed the spectrum window, with the same
-label streams, each block writing its samples into the one window array.
-That pass draws no noise: the TX chain's white noise enters its power and
-spectrum as a closed-form variance. Every block normalises its drive on a
-closed form of its full-rate pulse power between the guards, the samples it
-transmits; calibrated AWGN is referred to the link budget's received power.
+label streams, each block reducing its samples to Welch chunk sums, so the
+window never exists as one array. That pass draws no noise: the TX chain's
+white noise enters its power and spectrum as a closed-form variance. Every
+block normalises its drive on a closed form of its full-rate pulse power
+between the guards, the samples it transmits; calibrated AWGN is referred
+to the link budget's received power.
 
 The run is split into fixed-size symbol blocks. Every block draws its
 symbols as packed uint8 labels and carries them to the error count, the
@@ -177,38 +178,68 @@ def pulse_shape(symbols, config: SimConfig) -> np.ndarray:
     return pulse.full(symbols)[pulse.delay:pulse.delay + symbols.size * pulse.sps]
 
 
+def _welch_chunk_sums(samples: np.ndarray, segment_len: int) -> list[np.ndarray]:
+    """Periodogram sums of samples' Hann-windowed, half-overlapping segments, 256 a chunk."""
+    if samples.size < segment_len:
+        return []
+    step = segment_len - segment_len // 2
+    segments = np.lib.stride_tricks.sliding_window_view(samples, segment_len)[::step]
+    window = _periodic_hann(segment_len)
+    buf = np.empty((min(len(segments), _WELCH_CHUNK_SEGMENTS), segment_len), np.complex128)
+    sums = []
+    for start in range(0, len(segments), _WELCH_CHUNK_SEGMENTS):
+        chunk = segments[start:start + _WELCH_CHUNK_SEGMENTS]
+        spectra = np.multiply(chunk, window, out=buf[:len(chunk)])
+        np.fft.fft(spectra, axis=1, out=spectra)
+        squares = spectra.view(np.float64)
+        squares *= squares
+        sums.append(np.sum(squares[:, ::2] + squares[:, 1::2], axis=0))
+    return sums
+
+
+def _periodic_hann(segment_len: int) -> np.ndarray:
+    return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(segment_len) / segment_len)
+
+
+def _welch_density(chunk_sums: list, n_samples: int, sample_rate_hz: float, segment_len: int):
+    """welch_psd's result from the chunk sums of n_samples, in chunk order."""
+    n_segments = (n_samples - segment_len) // (segment_len - segment_len // 2) + 1
+    power = sum(chunk_sums, np.zeros(segment_len))
+    density = power / (n_segments * sample_rate_hz * np.sum(_periodic_hann(segment_len) ** 2))
+    freqs = np.fft.fftfreq(segment_len, 1.0 / sample_rate_hz)
+    return np.fft.fftshift(freqs), np.fft.fftshift(density)
+
+
 def welch_psd(samples, sample_rate_hz: float, segment_len: int):
     """Averaged-periodogram density estimate (Hann window, 50% overlap).
 
     Returns (frequencies, linear density) with frequencies spanning +/-fs/2.
-    The density integrates to the time-domain mean power (Parseval). The
-    segments are strided views of the input, transformed a chunk at a time
-    on a thread pool so the windowed copies stay a few MB per worker.
+    The density integrates to the time-domain mean power (Parseval).
     """
     samples = np.asarray(samples, dtype=np.complex128)
     if samples.size < 2 * segment_len:
         raise ValueError(
             f"need at least {2 * segment_len} samples for {segment_len}-sample "
             f"segments, got {samples.size}")
-    step = segment_len - segment_len // 2
-    segments = np.lib.stride_tricks.sliding_window_view(samples, segment_len)[::step]
-    # periodic Hann window
-    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(segment_len) / segment_len)
+    return _welch_density(_welch_chunk_sums(samples, segment_len), samples.size,
+                          sample_rate_hz, segment_len)
 
-    def chunk_power(chunk: int) -> np.ndarray:
-        start = chunk * _WELCH_CHUNK_SEGMENTS
-        spectra = np.fft.fft(segments[start:start + _WELCH_CHUNK_SEGMENTS] * window,
-                             axis=1)
-        return np.sum(spectra.real ** 2 + spectra.imag ** 2, axis=0)
 
-    # the chunk sums are added in chunk order, so the worker count changes
-    # no bit of the estimate
-    power = next(run_plans([Plan(
-        math.ceil(len(segments) / _WELCH_CHUNK_SEGMENTS), chunk_power,
-        lambda sums: sum(sums, np.zeros(segment_len)))]))
-    density = power / (len(segments) * sample_rate_hz * np.sum(window ** 2))
-    freqs = np.fft.fftfreq(segment_len, 1.0 / sample_rate_hz)
-    return np.fft.fftshift(freqs), np.fft.fftshift(density)
+def _segment_len(n_samples: int) -> int:
+    """estimate_spectrum's segment length for an input of n_samples."""
+    if n_samples < 4:
+        raise ValueError(f"input too short for a spectrum estimate: {n_samples}")
+    return min(_PSD_SEGMENT_SAMPLES, 1 << int(math.log2(n_samples / 2)))
+
+
+def _relative_db(freqs, density, sample_rate_hz: float, noise_var_w: float) -> np.ndarray:
+    """estimate_spectrum's (frequency_hz, power_db) pairs from a Welch density."""
+    density += noise_var_w / sample_rate_hz
+    peak = density.max()
+    if peak <= 0.0:
+        raise ValueError("input has no power; spectrum undefined")
+    power_db = 10.0 * np.log10(np.maximum(density, peak * 1e-30) / peak)
+    return np.column_stack([freqs, power_db])
 
 
 def estimate_spectrum(samples, sample_rate_hz: float,
@@ -221,16 +252,8 @@ def estimate_spectrum(samples, sample_rate_hz: float,
     ``noise_var_w``, noise_var_w / sample_rate_hz, is added before that.
     """
     samples = np.asarray(samples)
-    if samples.size < 4:
-        raise ValueError(f"input too short for a spectrum estimate: {samples.size}")
-    segment_len = min(_PSD_SEGMENT_SAMPLES, 1 << int(math.log2(samples.size / 2)))
-    freqs, density = welch_psd(samples, sample_rate_hz, segment_len)
-    density += noise_var_w / sample_rate_hz
-    peak = density.max()
-    if peak <= 0.0:
-        raise ValueError("input has no power; spectrum undefined")
-    power_db = 10.0 * np.log10(np.maximum(density, peak * 1e-30) / peak)
-    return np.column_stack([freqs, power_db])
+    freqs, density = welch_psd(samples, sample_rate_hz, _segment_len(samples.size))
+    return _relative_db(freqs, density, sample_rate_hz, noise_var_w)
 
 
 # ---------------------------------------------------------------------------
@@ -567,13 +590,13 @@ def window_plan(config: SimConfig) -> Plan:
     """The TX-only blocks of config's spectrum window, finishing in
     transmit_waveform's result.
 
-    Only the blocks needed for the window run, at full rate, each writing
-    the samples between its guards into the one window array and summing
-    their power: no window-sized temporary. They draw no noise: the TX
-    chain's white noise, independent of the signal, enters the power and the
-    Welch density as its expectation, the Friis cascade's kTB(F - 1)G, so
-    through the PA's small-signal gain (Jeruchim, Balaban & Shanmugan,
-    *Simulation of Communication Systems*, performance estimation).
+    Only the window's blocks run, at full rate, each reducing the samples
+    between its guards to their power and the Welch chunk sums of the
+    segments starting there, counted from its first segment (so with an even
+    samples_per_symbol, estimate_spectrum's bits): no window-sized array.
+    No noise is drawn: the TX chain's white noise, independent of the signal,
+    enters power and density as its expectation, the cascade's kTB(F - 1)G
+    (Jeruchim, Balaban & Shanmugan, *Simulation of Communication Systems*).
     """
     ctx = _build_context(config)
     noise_var_w = 0.0
@@ -581,31 +604,35 @@ def window_plan(config: SimConfig) -> Plan:
         tx = cascade(ctx.tx_chain)
         noise_var_w = stage_added_noise_watts(
             StageSpec("tx chain", tx.total_gain_db, tx.total_nf_db), ctx.bandwidth_hz)
-    window = np.empty(min(ctx.n_symbols * ctx.sps, _PSD_TARGET_SAMPLES), np.complex128)
+    n_window = min(ctx.n_symbols * ctx.sps, _PSD_TARGET_SAMPLES)
+    segment_len = _segment_len(n_window)
     block_samples = _SYMBOLS_PER_BLOCK * ctx.sps
-    sizes = _block_sizes(ctx.n_symbols)[:math.ceil(window.size / block_samples)]
+    sizes = _block_sizes(ctx.n_symbols)[:math.ceil(n_window / block_samples)]
     first = ctx.guard_symbols * ctx.sps
 
-    def job(block: int) -> float:
-        _, _, tx = _tx_block(config, ctx, block, sizes[block], full_rate=True)
-        dest = window[block * block_samples:][:sizes[block] * ctx.sps]
-        dest[...] = tx[first:first + dest.size]
-        return float(_real_dot(dest, dest))
+    def job(block: int) -> tuple[float, list[np.ndarray], np.ndarray, np.ndarray]:
+        tx = _tx_block(config, ctx, block, sizes[block], full_rate=True)[2]
+        x = tx[first:first + min(sizes[block] * ctx.sps, n_window - block * block_samples)]
+        return (float(_real_dot(x, x)), _welch_chunk_sums(x, segment_len),
+                x[:segment_len // 2].copy(), x[-(segment_len // 2):].copy())
 
-    def finish(powers: list[float]) -> tuple[np.ndarray, float, float, float]:
-        power_w = sum(powers) / window.size + noise_var_w
-        return window, ctx.sample_rate_hz, watts_to_dbm(power_w), noise_var_w
+    def finish(blocks: list) -> tuple[np.ndarray, float, float, float]:
+        for (_, sums, _, tail), (_, _, head, _) in zip(blocks, blocks[1:]):
+            if tail.size + head.size == segment_len:  # the straddling segment is whole
+                sums[-1] += _welch_chunk_sums(np.concatenate([tail, head]), segment_len)[0]
+        density = _welch_density([s for _, sums, _, _ in blocks for s in sums], n_window,
+                                 ctx.sample_rate_hz, segment_len)
+        power_w = sum(power for power, _, _, _ in blocks) / n_window + noise_var_w
+        psd = _relative_db(*density, ctx.sample_rate_hz, noise_var_w)
+        return psd, ctx.sample_rate_hz, watts_to_dbm(power_w), noise_var_w
 
     return Plan(len(sizes), job, finish)
 
 
 def transmit_waveform(config: SimConfig) -> tuple[np.ndarray, float, float, float]:
-    """Steady-state transmitted waveform (TX side only), its sample rate,
-    its mean power in dBm, and the variance of the TX chain's white noise.
-
-    Uses the same blocks and label streams as run_link_sim, so the waveform
-    is the noise-free signal the full simulation would transmit, up to a
-    1 M-sample spectrum window. The power includes the noise variance; pass
-    it to estimate_spectrum to add its density.
+    """The spectrum of the transmitted waveform (never held itself) as
+    estimate_spectrum's pairs, its sample rate, its mean power in dBm, and the
+    TX chain's white-noise variance, included in both. The blocks and label
+    streams are run_link_sim's, up to a 1 M-sample window.
     """
     return next(run_plans([window_plan(config)]))

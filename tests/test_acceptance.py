@@ -21,7 +21,7 @@ from qamlink.modem import (
 from qamlink.channel import ChannelSpec, friis_received_power
 from qamlink.linkbudget import max_distance
 from qamlink.rfchain import ChainSpec, StageSpec, cascade, oip3_from_p1db
-from qamlink.simulate import estimate_spectrum, run_link_sim, transmit_waveform
+from qamlink.simulate import run_link_sim, transmit_waveform
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 PAPER_CFG = REPO_ROOT / "paper.cfg"
@@ -144,8 +144,7 @@ def test_criterion_6_spectrum_nulls():
     cfg = RunConfig()
     cfg.pulse_shape = "rectangular"
     cfg.n_bits = 1_048_576
-    wave, fs, _, noise_var_w = transmit_waveform(cfg.sim_config())
-    psd = estimate_spectrum(wave, fs, noise_var_w)
+    psd = transmit_waveform(cfg.sim_config())[0]
     freqs, power = psd[:, 0], psd[:, 1]
     bin_width = freqs[1] - freqs[0]
     details = []
@@ -218,9 +217,9 @@ def test_criterion_8_property_suites(monkeypatch):
     for threads in ("1", "2", "5"):
         monkeypatch.setenv("QAMLINK_THREADS", threads)
         result = run_link_sim(config)
-        wave, fs, tx_power_dbm, noise_var_w = transmit_waveform(config)
+        psd, _, tx_power_dbm, _ = transmit_waveform(config)
         fingerprint = (result.measured_ber, result.tx_evm_pct, result.rx_evm_pct,
-                       estimate_spectrum(wave, fs, noise_var_w).tobytes(), tx_power_dbm,
+                       psd.tobytes(), tx_power_dbm,
                        result.rx_constellation.tobytes())
         if reference is None:
             reference = fingerprint

@@ -177,21 +177,18 @@ class TestSpectrumEstimate:
         np.testing.assert_allclose(density, np.fft.fftshift(ref_density), rtol=1e-12)
 
     @pytest.mark.parametrize("n_segments", [3, 255, 256, 512, 4095])
-    def test_welch_psd_matches_serial_chunk_loop(self, monkeypatch, n_segments):
-        """The chunk sums run on a pool and are added in chunk order: the
-        estimate equals the serial loop's bit for bit at any worker count,
-        whether or not the segments fill whole chunks (4,095 segments are
-        the 1 M-sample spectrum window's)."""
+    def test_welch_psd_matches_serial_chunk_loop(self, n_segments):
+        """The in-place chunk kernel's sums, added in chunk order, equal the
+        serial loop over windowed copies bit for bit, whether or not the
+        segments fill whole chunks (4,095 segments are the 1 M-sample
+        spectrum window's)."""
         segment_len = 512
         x = complex_noise(noise_generator(n_segments, 0),
                           (n_segments + 1) * segment_len // 2 + 7, 1.0)
         expected = serial_welch(x, 8e6, segment_len)
-        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 4)
-        for threads in ("1", "2", "4"):
-            monkeypatch.setenv("QAMLINK_THREADS", threads)
-            freqs, density = welch_psd(x, 8e6, segment_len)
-            np.testing.assert_array_equal(freqs, expected[0])
-            np.testing.assert_array_equal(density, expected[1])
+        freqs, density = welch_psd(x, 8e6, segment_len)
+        np.testing.assert_array_equal(freqs, expected[0])
+        np.testing.assert_array_equal(density, expected[1])
 
     def test_too_short_input_rejected(self):
         with pytest.raises(ValueError):
@@ -282,8 +279,7 @@ class TestRunLinkSim:
         assert result.tx_constellation.size <= 4096
         assert result.rx_constellation.size <= 4096
         assert result.n_bits_run == 200_000
-        wave, fs, _, noise_var_w = transmit_waveform(cfg.sim_config())
-        psd = estimate_spectrum(wave, fs, noise_var_w)
+        psd, fs, _, _ = transmit_waveform(cfg.sim_config())
         assert psd[0, 0] == pytest.approx(-fs / 2, rel=1e-9)
         assert psd[-1, 0] < fs / 2
 
@@ -303,7 +299,7 @@ class TestRunLinkSim:
 
     def test_worker_count_does_not_change_results(self, monkeypatch):
         """Multi-block run reduced on one thread and on four is bit-identical,
-        and so is its spectrum window."""
+        and so is its spectrum."""
         config = calibration_config(4, 4.0, 163_840, seed=5)
         results, windows = [], []
         for threads in ("1", "4"):
@@ -350,30 +346,28 @@ class TestRunLinkSim:
         else:
             assert drop == pytest.approx(0.15, abs=0.02)
 
-    def test_transmit_waveform_is_the_window_blocks_interiors(self, monkeypatch):
-        """The window holds each window block's full-rate samples between
-        its guards, and its power is their mean square plus the TX noise
-        variance."""
-        cfg = RunConfig()
-        cfg.n_bits = 80_000
-        config = cfg.sim_config()
-        wave, fs, power_dbm, noise_var_w = transmit_waveform(config)
-        assert wave.size == 80_000
-        assert fs == 8 * 125e6
-        ctx = simulate._build_context(config)
-        _, _, tx = simulate._tx_block(config, ctx, 0, ctx.n_symbols, full_rate=True)
-        first = ctx.guard_symbols * ctx.sps
-        np.testing.assert_array_equal(wave, tx[first:first + wave.size])
-        assert power_dbm == pytest.approx(
-            10.0 * math.log10(np.mean(np.abs(wave) ** 2) + noise_var_w) + 30.0, abs=1e-9)
-
-        # 1,048,576 bits of paper.cfg fill the window from 4 blocks, which
-        # run on the block pool and write into one window array; at 4
-        # workers, more than there are cores, with a short switch interval
-        config = load_config(str(PAPER_CFG)).sim_config(n_bits=1_048_576)
+    @pytest.mark.parametrize("path,n_bits,sps,n_window", [
+        ("paper.cfg", 1_048_576, 8, 4),
+        ("paper.cfg", 80_000, 8, 1),
+        ("qpsk.cfg", 1_200_000, 2, 16),
+        ("paper.cfg", 800, 8, 1),
+        ("paper.cfg", 262_224, 8, 2),
+    ])
+    def test_spectrum_is_the_welch_estimate_of_the_window(self, monkeypatch, path,
+                                                          n_bits, sps, n_window):
+        """The window blocks reduce their samples on the block pool, yet the
+        spectrum equals estimate_spectrum of the assembled window bit for bit,
+        and the power is its mean square plus the TX noise variance. The runs
+        fill the 1 M-sample window from 4 and from 16 blocks, lie inside one
+        block, make a window under 1,024 samples (256-sample segments), and
+        end in an 80-sample block that no segment reaches. At 4 workers, more
+        than there are cores, with a short switch interval."""
+        cfg = load_config(str(REPO_ROOT / path))
+        assert cfg.samples_per_symbol == sps
+        config = cfg.sim_config(n_bits=n_bits)
+        window = assembled_window(config)
         real = simulate._tx_block
         monkeypatch.setattr(simulate.os, "cpu_count", lambda: 4)
-        waves = []
         interval = sys.getswitchinterval()
         try:
             sys.setswitchinterval(1e-5)
@@ -386,14 +380,51 @@ class TestRunLinkSim:
 
                 monkeypatch.setattr(simulate, "_tx_block", counting)
                 monkeypatch.setenv("QAMLINK_THREADS", threads)
-                wave = transmit_waveform(config)[0]
-                assert sorted(calls) == [0, 1, 2, 3], threads
-                waves.append(wave)
+                psd, fs, power_dbm, noise_var_w = transmit_waveform(config)
+                assert sorted(calls) == list(range(n_window)), threads
+                assert fs == sps * config.scenario.symbol_rate_hz
+                np.testing.assert_array_equal(psd, estimate_spectrum(window, fs, noise_var_w))
+                assert power_dbm == pytest.approx(
+                    10.0 * math.log10(np.mean(np.abs(window) ** 2) + noise_var_w) + 30.0,
+                    abs=1e-9)
         finally:
             sys.setswitchinterval(interval)
-        assert waves[0].size == simulate._PSD_TARGET_SAMPLES
-        for wave in waves[1:]:
-            np.testing.assert_array_equal(wave, waves[0])
+
+    def test_odd_samples_per_symbol_restart_chunks_per_block(self, monkeypatch):
+        """At 3 samples per symbol a block holds 384 segments, so its chunks
+        of 256 restart at every block: the spectrum is the same at any worker
+        count and agrees with the array-level estimate to rounding."""
+        cfg = load_config(str(PAPER_CFG))
+        cfg.samples_per_symbol = 3
+        config = cfg.sim_config(n_bits=800_000)
+        ctx = simulate._build_context(config)
+        assert len(window_blocks(ctx)) == 4
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 4)
+        psds = []
+        for threads in ("1", "2", "4"):
+            monkeypatch.setenv("QAMLINK_THREADS", threads)
+            psd, fs, _, noise_var_w = transmit_waveform(config)
+            psds.append(psd)
+        for psd in psds[1:]:
+            np.testing.assert_array_equal(psd, psds[0])
+        expected = estimate_spectrum(assembled_window(config), fs, noise_var_w)
+        np.testing.assert_allclose(psds[0], expected, rtol=1e-12, atol=0)
+
+    def test_window_blocks_hold_no_window(self, monkeypatch):
+        """At 1 worker the 1 M-sample spectrum of paper.cfg peaks under 2.5x
+        one full-rate block's samples: no window-sized array (16 MB), only a
+        block at a time and its Welch chunk, and nothing is held after."""
+        config = load_config(str(PAPER_CFG)).sim_config(n_bits=1_048_576)
+        block_bytes = simulate._SYMBOLS_PER_BLOCK * config.samples_per_symbol * 16
+        monkeypatch.setenv("QAMLINK_THREADS", "1")
+        tracemalloc.start()
+        try:
+            psd = transmit_waveform(config)[0]
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * block_bytes
+        assert current < psd.nbytes + 65536
 
     def test_full_rate_tx_block_works_in_chunks(self):
         """A window block's numpy peak stays under 2x the waveform it
@@ -579,6 +610,16 @@ def window_blocks(ctx):
     return simulate._block_sizes(ctx.n_symbols)[:math.ceil(n_window / block_samples)]
 
 
+def assembled_window(config):
+    """The spectrum window as one array: each window block's full-rate
+    samples between its guards, in block order, cut to the window."""
+    ctx = simulate._build_context(config)
+    first = ctx.guard_symbols * ctx.sps
+    parts = [simulate._tx_block(config, ctx, block, n_sym, full_rate=True)[2][
+        first:first + n_sym * ctx.sps] for block, n_sym in enumerate(window_blocks(ctx))]
+    return np.concatenate(parts)[:simulate._PSD_TARGET_SAMPLES]
+
+
 class TestSymbolRateBlocks:
     """Every Monte-Carlo block runs every stage after the pulse shaper at the
     symbol instants only; that must change no result."""
@@ -682,13 +723,13 @@ class TestSymbolRateBlocks:
     def test_window_instants_match_symbol_rate_blocks(self, path, n_bits, n_window):
         """Noise off, with paper.cfg's compressing PA and raised-cosine pulses
         and with qpsk.cfg's ideal chains and rectangular pulses: at every
-        window block the symbol instants of transmit_waveform's full-rate
-        window are the block's TX output at the instants, as run_link_sim
-        computes it. Both runs have blocks past the window."""
+        window block the symbol instants of the full-rate spectrum window are
+        the block's TX output at the instants, as run_link_sim computes it.
+        Both runs have blocks past the window."""
         config = load_config(str(REPO_ROOT / path)).sim_config(n_bits=n_bits, seed=7,
                                                                noise_enabled=False)
         ctx = simulate._build_context(config)
-        wave = transmit_waveform(config)[0]
+        wave = assembled_window(config)
         sizes = window_blocks(ctx)
         assert len(sizes) == n_window < len(simulate._block_sizes(ctx.n_symbols))
         instants = wave[ctx.sps // 2::ctx.sps]
@@ -723,9 +764,9 @@ class TestSymbolRateBlocks:
 
 
 def drawn_window(monkeypatch, config):
-    """transmit_waveform with the TX stage noise drawn: every full-rate
-    block runs its TX chain on the block's TX noise stream, as the Monte-
-    Carlo blocks do at the instants."""
+    """The assembled spectrum window with the TX stage noise drawn: every
+    full-rate block runs its TX chain on the block's TX noise stream, as the
+    Monte-Carlo blocks do at the instants."""
     local = threading.local()
     real_tx, real_chain = simulate._tx_block, simulate.chain_transfer
 
@@ -742,7 +783,7 @@ def drawn_window(monkeypatch, config):
     with monkeypatch.context() as patch:
         patch.setattr(simulate, "_tx_block", tx_block)
         patch.setattr(simulate, "chain_transfer", chain_transfer)
-        return transmit_waveform(config)
+        return assembled_window(config)
 
 
 class TestWindowNoiseExpectation:
@@ -776,9 +817,9 @@ class TestWindowNoiseExpectation:
         term the far band reads 0.2-0.5 dB low."""
         for seed in (41, 42, 43, 44):
             config = load_config(str(PAPER_CFG)).sim_config(n_bits=1_048_576, seed=seed)
-            wave, fs, power_dbm, noise_var_w = transmit_waveform(config)
-            drawn, _, drawn_power_dbm, _ = drawn_window(monkeypatch, config)
-            expected = estimate_spectrum(wave, fs, noise_var_w)
+            expected, fs, power_dbm, noise_var_w = transmit_waveform(config)
+            drawn = drawn_window(monkeypatch, config)
+            drawn_power_w = np.mean(np.abs(drawn) ** 2)
             reference = estimate_spectrum(drawn, fs)
             far = np.abs(reference[:, 0]) >= 250e6
 
@@ -788,8 +829,10 @@ class TestWindowNoiseExpectation:
             assert far_db(expected) == pytest.approx(far_db(reference), abs=0.03), seed
             np.testing.assert_allclose(expected[:, 1], reference[:, 1], rtol=0, atol=0.2)
             assert power_dbm == pytest.approx(
-                10.0 * math.log10(np.mean(np.abs(drawn) ** 2)) + 30.0, abs=1e-3)
-            assert drawn_power_dbm == pytest.approx(power_dbm, abs=1e-3)
+                10.0 * math.log10(drawn_power_w) + 30.0, abs=1e-3)
+            # the drawn window's power with the variance added on top as well
+            assert 10.0 * math.log10(drawn_power_w + noise_var_w) + 30.0 == pytest.approx(
+                power_dbm, abs=1e-3)
 
     def test_window_without_stage_noise_is_the_noise_free_welch(self, tmp_path):
         """The window is the same noise-free signal in every noise mode; under
@@ -797,14 +840,18 @@ class TestWindowNoiseExpectation:
         plain Welch estimate of that window."""
         bits, seed = 300_000, 6
         config = load_config(str(PAPER_CFG)).sim_config(n_bits=bits, seed=seed)
-        wave, fs, _, noise_var_w = transmit_waveform(config)
+        wave = assembled_window(config)
+        _, fs, _, noise_var_w = transmit_waveform(config)
         assert noise_var_w > 0.0
+        welch = estimate_spectrum(wave, fs)
         for options in ({"noise_enabled": False}, {"calibration_ebn0_db": 20.0}):
-            quiet, _, _, quiet_var = transmit_waveform(
-                load_config(str(PAPER_CFG)).sim_config(n_bits=bits, seed=seed, **options))
-            np.testing.assert_array_equal(quiet, wave)
+            quiet_config = load_config(str(PAPER_CFG)).sim_config(n_bits=bits, seed=seed,
+                                                                  **options)
+            np.testing.assert_array_equal(assembled_window(quiet_config), wave)
+            quiet_psd, _, _, quiet_var = transmit_waveform(quiet_config)
+            np.testing.assert_array_equal(quiet_psd, welch)
             assert quiet_var == 0.0
-        cli._write_psd_csv(str(tmp_path / "welch.csv"), estimate_spectrum(wave, fs))
+        cli._write_psd_csv(str(tmp_path / "welch.csv"), welch)
         expected = (tmp_path / "welch.csv").read_bytes()
         common = ["--config", str(PAPER_CFG), "--bits", str(bits), "--seed", str(seed)]
         for command in (["simulate", "--no-noise"], ["simulate", "--ebn0", "20"],
