@@ -54,8 +54,10 @@ def _write_lines(path: str, lines: list[str]) -> None:
             handle.write(line + "\n")
 
 
-def _write_csv(path: str, header: str, rows: list[str]) -> None:
-    _write_lines(path, [header] + rows)
+def _write_pairs_csv(path: str, header: str, values) -> None:
+    """The header, then one line per pair of floats in values (at least one)."""
+    flat = tuple(values.ravel().tolist())
+    _write_lines(path, [header, ("%.8e,%.8e\n" * (len(flat) // 2))[:-1] % flat])
 
 
 def _load(args) -> RunConfig:
@@ -129,13 +131,7 @@ def _sim_report_lines(config: SimConfig, result: SimResult, tx_power_dbm: float,
 
 
 def _write_psd_csv(path: str, psd) -> None:
-    rows = [f"{freq:.8e},{power:.8e}" for freq, power in psd.tolist()]
-    _write_csv(path, "frequency_hz,power_db", rows)
-
-
-def _write_constellation_csv(path: str, cloud) -> None:
-    rows = ["%.8e,%.8e" % (i, q) for i, q in cloud.view(float).reshape(-1, 2).tolist()]
-    _write_csv(path, "i,q", rows)
+    _write_pairs_csv(path, "frequency_hz,power_db", psd)
 
 
 def cmd_simulate(args) -> int:
@@ -150,10 +146,9 @@ def cmd_simulate(args) -> int:
     lines = _sim_report_lines(config, result, tx_power_dbm, sample_rate)
     _write_psd_csv(os.path.join(cfg.output_dir, PSD_CSV_NAME), psd)
     _write_lines(os.path.join(cfg.output_dir, SIM_REPORT_NAME), lines)
-    _write_constellation_csv(os.path.join(cfg.output_dir, TX_CONSTELLATION_CSV_NAME),
-                             result.tx_constellation)
-    _write_constellation_csv(os.path.join(cfg.output_dir, RX_CONSTELLATION_CSV_NAME),
-                             result.rx_constellation)
+    for name, cloud in ((TX_CONSTELLATION_CSV_NAME, result.tx_constellation),
+                        (RX_CONSTELLATION_CSV_NAME, result.rx_constellation)):
+        _write_pairs_csv(os.path.join(cfg.output_dir, name), "i,q", cloud.view(float))
     ci_low, ci_high = result.ber_confidence
     print(f"ber={result.measured_ber:.6e} ci95=[{ci_low:.6e}, {ci_high:.6e}] "
           f"tx_evm={result.tx_evm_pct:.3f}% rx_evm={result.rx_evm_pct:.3f}% "
@@ -198,7 +193,7 @@ def cmd_ber_sweep(args) -> int:
             rows.append(f"{ebn0:.2f},{ber:.8e},{result.measured_ber:.8e},"
                         f"{ci_low:.8e},{ci_high:.8e}")
     path = os.path.join(cfg.output_dir, WATERFALL_CSV_NAME)
-    _write_csv(path, "ebn0_db,ber_theory,ber_measured,ci_low,ci_high", rows)
+    _write_lines(path, ["ebn0_db,ber_theory,ber_measured,ci_low,ci_high", *rows])
     print(f"wrote {len(rows)} sweep points to {path}")
     return EXIT_OK
 

@@ -7,13 +7,13 @@ stage is memoryless, so BER, EVM and the constellations need only the
 symbol instants, one phase of the bank: every Monte-Carlo block of
 run_link_sim runs at the instants. Only the TX power spectrum needs the
 full-rate waveform, all phases of the bank; transmit_waveform computes it in
-a TX-only pass over the blocks that feed the spectrum window, with the same
-label streams, each block reducing its samples to Welch chunk sums, so the
-window never exists as one array. That pass draws no noise: the TX chain's
-white noise enters its power and spectrum as a closed-form variance. Every
-block normalises its drive on a closed form of its full-rate pulse power
-between the guards, the samples it transmits; calibrated AWGN is referred
-to the link budget's received power.
+a TX-only pass over the window blocks with the same label streams, each
+shaping, transmitting and reducing its samples to Welch chunk sums 32,768 at
+a time, so neither the window nor a block exists as one array. That pass
+draws no noise: the TX chain's white noise enters its power and spectrum as
+a closed-form variance. Every block normalises its drive on a closed form of
+its full-rate pulse power between the guards, the samples it transmits;
+calibrated AWGN is referred to the link budget's received power.
 
 The run is split into fixed-size symbol blocks. Every block draws its
 symbols as packed uint8 labels and carries them to the error count, the
@@ -61,7 +61,7 @@ _SYMBOLS_PER_BLOCK = 32768
 _MAX_CLOUD_POINTS = 4096
 _PSD_TARGET_SAMPLES = 1 << 20
 _PSD_SEGMENT_SAMPLES = 512
-_WELCH_CHUNK_SEGMENTS = 256
+_WELCH_PIECE_SEGMENTS = 128  # half a Welch chunk sum
 
 # per-block RNG substreams
 _STREAMS_PER_BLOCK = 4
@@ -166,35 +166,61 @@ def gaussian_taps(bt: float, samples_per_symbol: int) -> np.ndarray:
     return taps / taps.sum()
 
 
-def pulse_shape(symbols, config: SimConfig) -> np.ndarray:
-    """Upsample symbols to the waveform grid, samples_per_symbol per symbol.
+def pulse_shape(symbols, config: SimConfig | _SymbolRatePulse, start: int = 0,
+                stop: int | None = None) -> np.ndarray:
+    """Samples [start, stop) of the symbols upsampled to the waveform grid,
+    samples_per_symbol per symbol; by default all of them.
 
     Rectangular mode is plain sample-and-hold; gaussian mode follows the hold
     with the Gaussian lowpass above (zero group delay, symmetric kernel),
-    trimmed to the held length like 'same'-mode convolution.
+    trimmed to the held length like 'same'-mode convolution. A span is
+    filtered from the symbols that reach it alone, bit for bit as a slice of
+    the whole; ``config`` may be the filter bank itself, built once.
     """
     symbols = np.ascontiguousarray(symbols, dtype=np.complex128)
-    pulse = _SymbolRatePulse.of(config)
-    return pulse.full(symbols)[pulse.delay:pulse.delay + symbols.size * pulse.sps]
+    pulse = config if isinstance(config, _SymbolRatePulse) else _SymbolRatePulse.of(config)
+    k, sps, delay = pulse.bank.shape[1], pulse.sps, pulse.delay
+    stop = symbols.size * sps if stop is None else stop
+    # full-convolution rows first..last hold the span, each made from the k
+    # symbols up to it; np.convolve swaps a longer kernel, so slice >= k symbols
+    first, last = (delay + start) // sps, (delay + stop - 1) // sps
+    a = max(0, min(first - k + 1, symbols.size - k))
+    b = min(symbols.size, max(last + 1, a + k))
+    return pulse.full(symbols[a:b])[delay - a * sps + start:delay - a * sps + stop]
 
 
-def _welch_chunk_sums(samples: np.ndarray, segment_len: int) -> list[np.ndarray]:
-    """Periodogram sums of samples' Hann-windowed, half-overlapping segments, 256 a chunk."""
-    if samples.size < segment_len:
-        return []
+def _welch_pieces(piece: Callable[[int, int], np.ndarray], start: int, stop: int,
+                  segment_len: int) -> tuple[float, list[np.ndarray], np.ndarray, np.ndarray]:
+    """The power, Welch chunk sums and first and last half segments of a
+    signal's samples [start, stop), from piece(a, b), its samples [a, b).
+
+    A chunk sums the periodograms of 256 Hann-windowed, half-overlapping
+    segments, made 128 at a time from pieces that run half a segment on. Its
+    second piece sums onto the first's sum row by row, as numpy sums axis 0:
+    bit for bit the 256-row sum."""
+    half = segment_len // 2
+    size = _WELCH_PIECE_SEGMENTS * (segment_len - half)
+    power, sums, head = 0.0, [], None
+    for k, a in enumerate(range(start, stop, size)):
+        x = piece(a, min(stop, a + size + half))
+        power += _real_dot(x[:size], x[:size])
+        if x.size >= segment_len:
+            sums.append(_periodogram_sum(x, segment_len, sums.pop() if k % 2 else 0.0))
+        head = x[:half].copy() if head is None else head
+    return power, sums, head, x[-half:].copy()
+
+
+def _periodogram_sum(x: np.ndarray, segment_len: int, carry=0.0) -> np.ndarray:
+    """The periodograms of x's Hann-windowed, half-overlapping segments, summed onto carry."""
     step = segment_len - segment_len // 2
-    segments = np.lib.stride_tricks.sliding_window_view(samples, segment_len)[::step]
-    window = _periodic_hann(segment_len)
-    buf = np.empty((min(len(segments), _WELCH_CHUNK_SEGMENTS), segment_len), np.complex128)
-    sums = []
-    for start in range(0, len(segments), _WELCH_CHUNK_SEGMENTS):
-        chunk = segments[start:start + _WELCH_CHUNK_SEGMENTS]
-        spectra = np.multiply(chunk, window, out=buf[:len(chunk)])
-        np.fft.fft(spectra, axis=1, out=spectra)
-        squares = spectra.view(np.float64)
-        squares *= squares
-        sums.append(np.sum(squares[:, ::2] + squares[:, 1::2], axis=0))
-    return sums
+    segments = np.lib.stride_tricks.sliding_window_view(x, segment_len)[::step]
+    spectra = segments * _periodic_hann(segment_len)
+    np.fft.fft(spectra, axis=1, out=spectra)
+    squares = spectra.view(np.float64)
+    squares *= squares
+    rows = squares[:, ::2] + squares[:, 1::2]
+    rows[0] += carry  # + 0.0 changes no periodogram bin, a sum of squares
+    return np.sum(rows, axis=0)
 
 
 def _periodic_hann(segment_len: int) -> np.ndarray:
@@ -216,13 +242,13 @@ def welch_psd(samples, sample_rate_hz: float, segment_len: int):
     Returns (frequencies, linear density) with frequencies spanning +/-fs/2.
     The density integrates to the time-domain mean power (Parseval).
     """
-    samples = np.asarray(samples, dtype=np.complex128)
+    samples = np.ascontiguousarray(samples, dtype=np.complex128)
     if samples.size < 2 * segment_len:
         raise ValueError(
             f"need at least {2 * segment_len} samples for {segment_len}-sample "
             f"segments, got {samples.size}")
-    return _welch_density(_welch_chunk_sums(samples, segment_len), samples.size,
-                          sample_rate_hz, segment_len)
+    sums = _welch_pieces(lambda a, b: samples[a:b], 0, samples.size, segment_len)[1]
+    return _welch_density(sums, samples.size, sample_rate_hz, segment_len)
 
 
 def _segment_len(n_samples: int) -> int:
@@ -440,30 +466,34 @@ def _gain_and_error(measured: np.ndarray, reference: np.ndarray,
 
 
 def _tx_block(config: SimConfig, ctx: _Context, block: int, n_sym: int, *,
-              full_rate: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+              full_rate: bool, reduce: Callable[[Callable], Any] | None = None):
     """Symbol labels, mapped symbols, and post-chain waveform for one block.
 
     The waveform is full rate with guards on both ends, or else only its
     n_sym symbol instants, one phase of the pulse shaper's filter bank: every
     later TX stage is memoryless with white noise, which only the instants
     draw. Either way the drive is normalised on the full-rate pulse's mean
-    power between the guards, in closed form.
+    power between the guards, in closed form. Given ``reduce``, a full-rate
+    block is never held whole: reduce(piece) stands for the waveform, whose
+    samples [start, stop) are piece(start, stop).
     """
     base = block * _STREAMS_PER_BLOCK
     bits_rng = noise_generator(config.seed, base + _STREAM_BITS)
-    n_total = n_sym + 2 * ctx.guard_symbols
     # a uniform byte is the cheapest draw; every order is a power of two
-    labels = bits_rng.integers(0, 256, n_total, dtype=np.uint8)
+    labels = bits_rng.integers(0, 256, n_sym + 2 * ctx.guard_symbols, dtype=np.uint8)
     labels &= ctx.cmap.order - 1
     symbols = map_bits(labels, ctx.cmap)
     scale = math.sqrt(ctx.input_power_w / ctx.pulse.mean_power(symbols, ctx.guard_symbols))
-    wave = (pulse_shape(symbols, config) if full_rate
-            else ctx.pulse.at_instants(symbols, ctx.guard_symbols, n_sym))
-    wave *= scale
-    tx_rng = (noise_generator(config.seed, base + _STREAM_TX)
-              if ctx.noise_mode == "thermal" and not full_rate else None)
-    wave = chain_transfer(wave, ctx.tx_chain, ctx.bandwidth_hz, tx_rng)
-    return labels, symbols, wave
+
+    def transmit(start: int = 0, stop: int | None = None) -> np.ndarray:
+        wave = (pulse_shape(symbols, ctx.pulse, start, stop) if full_rate
+                else ctx.pulse.at_instants(symbols, ctx.guard_symbols, n_sym))
+        wave *= scale
+        tx_rng = (noise_generator(config.seed, base + _STREAM_TX)
+                  if ctx.noise_mode == "thermal" and not full_rate else None)
+        return chain_transfer(wave, ctx.tx_chain, ctx.bandwidth_hz, tx_rng)
+
+    return labels, symbols, reduce(transmit) if reduce else transmit()
 
 
 def _simulate_block(config: SimConfig, ctx: _Context, block: int,
@@ -591,9 +621,9 @@ def window_plan(config: SimConfig) -> Plan:
     transmit_waveform's result.
 
     Only the window's blocks run, at full rate, each reducing the samples
-    between its guards to their power and the Welch chunk sums of the
-    segments starting there, counted from its first segment (so with an even
-    samples_per_symbol, estimate_spectrum's bits): no window-sized array.
+    between its guards, made 128 segments at a time, to their power and the
+    Welch chunk sums of the segments starting there, counted from its first
+    segment (with an even samples_per_symbol, estimate_spectrum's bits).
     No noise is drawn: the TX chain's white noise, independent of the signal,
     enters power and density as its expectation, the cascade's kTB(F - 1)G
     (Jeruchim, Balaban & Shanmugan, *Simulation of Communication Systems*).
@@ -611,15 +641,15 @@ def window_plan(config: SimConfig) -> Plan:
     first = ctx.guard_symbols * ctx.sps
 
     def job(block: int) -> tuple[float, list[np.ndarray], np.ndarray, np.ndarray]:
-        tx = _tx_block(config, ctx, block, sizes[block], full_rate=True)[2]
-        x = tx[first:first + min(sizes[block] * ctx.sps, n_window - block * block_samples)]
-        return (float(_real_dot(x, x)), _welch_chunk_sums(x, segment_len),
-                x[:segment_len // 2].copy(), x[-(segment_len // 2):].copy())
+        stop = first + min(sizes[block] * ctx.sps, n_window - block * block_samples)
+        return _tx_block(config, ctx, block, sizes[block], full_rate=True,
+                         reduce=lambda p: _welch_pieces(p, first, stop, segment_len))[2]
 
     def finish(blocks: list) -> tuple[np.ndarray, float, float, float]:
         for (_, sums, _, tail), (_, _, head, _) in zip(blocks, blocks[1:]):
             if tail.size + head.size == segment_len:  # the straddling segment is whole
-                sums[-1] += _welch_chunk_sums(np.concatenate([tail, head]), segment_len)[0]
+                joined = np.concatenate([tail, head])
+                sums[-1] = _periodogram_sum(joined, segment_len, sums[-1])
         density = _welch_density([s for _, sums, _, _ in blocks for s in sums], n_window,
                                  ctx.sample_rate_hz, segment_len)
         power_w = sum(power for power, _, _, _ in blocks) / n_window + noise_var_w
@@ -630,7 +660,7 @@ def window_plan(config: SimConfig) -> Plan:
 
 
 def transmit_waveform(config: SimConfig) -> tuple[np.ndarray, float, float, float]:
-    """The spectrum of the transmitted waveform (never held itself) as
+    """The spectrum of the transmitted waveform (never held whole) as
     estimate_spectrum's pairs, its sample rate, its mean power in dBm, and the
     TX chain's white-noise variance, included in both. The blocks and label
     streams are run_link_sim's, up to a 1 M-sample window.

@@ -410,20 +410,24 @@ class TestRunLinkSim:
         expected = estimate_spectrum(assembled_window(config), fs, noise_var_w)
         np.testing.assert_allclose(psds[0], expected, rtol=1e-12, atol=0)
 
-    def test_window_blocks_hold_no_window(self, monkeypatch):
-        """At 1 worker the 1 M-sample spectrum of paper.cfg peaks under 2.5x
-        one full-rate block's samples: no window-sized array (16 MB), only a
-        block at a time and its Welch chunk, and nothing is held after."""
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_window_blocks_hold_no_window(self, monkeypatch, threads):
+        """The 1 M-sample spectrum of paper.cfg peaks under one full-rate
+        block's samples (4.2 MB) per worker: no window-sized array (16 MB)
+        and no block-sized one, only 32,768-sample pieces of the blocks
+        running at once and their Welch chunk sums, and nothing is held
+        after. Blocks held whole peak at 2.0x per worker."""
         config = load_config(str(PAPER_CFG)).sim_config(n_bits=1_048_576)
         block_bytes = simulate._SYMBOLS_PER_BLOCK * config.samples_per_symbol * 16
-        monkeypatch.setenv("QAMLINK_THREADS", "1")
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("QAMLINK_THREADS", str(threads))
         tracemalloc.start()
         try:
             psd = transmit_waveform(config)[0]
             current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * block_bytes
+        assert peak < threads * block_bytes
         assert current < psd.nbytes + 65536
 
     def test_full_rate_tx_block_works_in_chunks(self):
@@ -610,6 +614,17 @@ def window_blocks(ctx):
     return simulate._block_sizes(ctx.n_symbols)[:math.ceil(n_window / block_samples)]
 
 
+def window_pieces(ctx):
+    """transmit_waveform's pulse_shape calls: one per 128-segment piece of
+    each window block's samples between its guards."""
+    n_window = min(ctx.n_symbols * ctx.sps, simulate._PSD_TARGET_SAMPLES)
+    segment_len = simulate._segment_len(n_window)
+    piece = simulate._WELCH_PIECE_SEGMENTS * (segment_len - segment_len // 2)
+    block_samples = simulate._SYMBOLS_PER_BLOCK * ctx.sps
+    return sum(math.ceil(min(n_sym * ctx.sps, n_window - block * block_samples) / piece)
+               for block, n_sym in enumerate(window_blocks(ctx)))
+
+
 def assembled_window(config):
     """The spectrum window as one array: each window block's full-rate
     samples between its guards, in block order, cut to the window."""
@@ -660,6 +675,32 @@ class TestSymbolRateBlocks:
                 assert ctx.pulse.mean_power(symbols, guard) == pytest.approx(
                     power, rel=1e-12, abs=0)
 
+    @settings(max_examples=150, deadline=None)
+    @given(shape=st.sampled_from(simulate.PULSE_SHAPES), sps=st.sampled_from([2, 3, 8]),
+           bt=st.sampled_from([0.3, 0.5, 1.0]), n_sym=st.integers(1, 400),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_pulse_shape_span_is_the_slice_of_the_whole(self, shape, sps, bt, n_sym,
+                                                         seed, data):
+        """Samples [start, stop) of the shaped waveform, from the filter bank
+        or the config, equal that slice of the whole waveform bit for bit,
+        spans at either end included."""
+        config = calibration_config(order=256, samples_per_symbol=sps, pulse_shape=shape,
+                                    gaussian_bt=bt)
+        pulse = simulate._SymbolRatePulse.of(config)
+        rng = np.random.default_rng(seed)
+        symbols = rng.standard_normal(n_sym) + 1j * rng.standard_normal(n_sym)
+        whole = pulse_shape(symbols, config)
+        n = whole.size
+        # short spans, and spans within a filter length of either end
+        start = data.draw(st.just(0) | st.integers(0, n - 1)
+                          | st.integers(max(0, n - 64), n - 1), label="start")
+        stop = data.draw(st.just(n) | st.integers(start + 1, n)
+                         | st.integers(start + 1, min(n, start + 64)), label="stop")
+        np.testing.assert_array_equal(pulse_shape(symbols, pulse, start, stop),
+                                      whole[start:stop])
+        np.testing.assert_array_equal(pulse_shape(symbols, config, start, stop),
+                                      whole[start:stop])
+
     def test_paper_pulse_is_a_three_tap_fir(self):
         """An isolated symbol reaches three instants: its own and one either side."""
         config = load_config(str(PAPER_CFG)).sim_config(n_bits=80_000)
@@ -674,11 +715,13 @@ class TestSymbolRateBlocks:
     def test_pulse_shape_runs_only_in_transmit_waveform(self, monkeypatch):
         """4 Mbit of paper.cfg: run_link_sim shapes every block at the symbol
         instants, under calibrated AWGN too; transmit_waveform shapes the 4
-        window blocks at full rate."""
+        window blocks at full rate, 8 pieces of 32,768 samples each."""
         real = simulate.pulse_shape
         for ebn0 in (None, 20.0):
             config = load_config(str(PAPER_CFG)).sim_config(n_bits=4_000_000,
                                                             calibration_ebn0_db=ebn0)
+            n_pieces = window_pieces(simulate._build_context(config))
+            assert n_pieces == 32
             for threads in ("1", "2"):
                 calls = []
 
@@ -691,16 +734,18 @@ class TestSymbolRateBlocks:
                 run_link_sim(config)
                 assert len(calls) == 0, (ebn0, threads)
                 transmit_waveform(config)
-                assert len(calls) == 4, (ebn0, threads)
+                assert len(calls) == n_pieces, (ebn0, threads)
 
     def test_ber_sweep_runs_no_pulse_shape(self, monkeypatch, tmp_path):
         """qpsk.cfg at 200 kbit: all 4 blocks lie in the window, so simulate
-        shapes each at full rate for the spectrum, and ber-sweep shapes none."""
+        shapes each at full rate for the spectrum, two 32,768-sample pieces of
+        each full block and one of the last, and ber-sweep shapes none."""
         real = simulate.pulse_shape
         config = load_config(str(QPSK_CFG)).sim_config(n_bits=200_000)
         ctx = simulate._build_context(config)
-        n_window = len(window_blocks(ctx))
-        assert n_window == len(simulate._block_sizes(ctx.n_symbols)) == 4
+        assert len(window_blocks(ctx)) == len(simulate._block_sizes(ctx.n_symbols)) == 4
+        n_pieces = window_pieces(ctx)
+        assert n_pieces == 7
         common = ["--config", str(QPSK_CFG), "--bits", "200000", "--out", str(tmp_path)]
         for threads in ("1", "2"):
             calls = []
@@ -714,7 +759,7 @@ class TestSymbolRateBlocks:
             assert cli.main(["ber-sweep", "--from", "6", "--to", "8", *common]) == 0
             assert len(calls) == 0, threads
             assert cli.main(["simulate", *common]) == 0
-            assert len(calls) == n_window, threads
+            assert len(calls) == n_pieces, threads
 
     @pytest.mark.parametrize("path,n_bits,n_window", [
         ("paper.cfg", 1_600_000, 4),
@@ -878,7 +923,7 @@ class TestOnePool:
         def pool_of_this_thread():
             pools.add(threading.current_thread().name.rpartition("_")[0])
 
-        def tx_block(config, ctx, block, n_sym, *, full_rate):
+        def tx_block(config, ctx, block, n_sym, *, full_rate, reduce=None):
             if not full_rate:
                 return real_tx(config, ctx, block, n_sym, full_rate=full_rate)
             pool_of_this_thread()
@@ -886,7 +931,8 @@ class TestOnePool:
             try:
                 if block == 3:
                     started.wait(timeout=10)
-                return real_tx(config, ctx, block, n_sym, full_rate=full_rate)
+                return real_tx(config, ctx, block, n_sym, full_rate=full_rate,
+                               reduce=reduce)
             finally:
                 running.discard(block)
 
