@@ -141,7 +141,7 @@ def cmd_simulate(args) -> int:
         noise_enabled=not args.no_noise,
         pa_linear=args.linear_pa,
     )
-    (psd, sample_rate, tx_power_dbm, _), result = run_plans(
+    (psd, sample_rate, tx_power_dbm, _), [result] = run_plans(
         [window_plan(config), link_sim_plan(config)])
     lines = _sim_report_lines(config, result, tx_power_dbm, sample_rate)
     _write_psd_csv(os.path.join(cfg.output_dir, PSD_CSV_NAME), psd)
@@ -181,12 +181,10 @@ def cmd_ber_sweep(args) -> int:
     else:
         n = int(math.log2(cfg.modulation_order))
         n_bits = cfg.n_bits - cfg.n_bits % n
-        # every point's blocks on one pool; each point is reduced, and its
-        # result dropped, as soon as its own blocks are done
-        results = run_plans(
-            link_sim_plan(cfg.sim_config(n_bits=n_bits, seed=cfg.seed + i,
-                                         calibration_ebn0_db=ebn0))
-            for i, ebn0 in enumerate(ebn0_values))
+        # one plan: each block job makes its TX samples and unit channel
+        # noise once and runs every point on them, all at --seed
+        results = next(run_plans([link_sim_plan(cfg.sim_config(n_bits=n_bits),
+                                                ebn0_values)]))
         rows = []
         for ebn0, ber, result in zip(ebn0_values, theory, results):
             ci_low, ci_high = result.ber_confidence

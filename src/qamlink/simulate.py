@@ -22,7 +22,11 @@ SFC64 streams keyed by (seed, block, purpose), so results are bit-identical
 regardless of how many worker threads execute the blocks. A run is a Plan:
 its block jobs and the block-order reduction of their results. run_plans
 queues the blocks of several runs on one thread pool, so a command's runs
-share its workers with no barrier between them.
+share its workers with no barrier between them. One Monte-Carlo plan serves
+every Eb/N0 point of a sweep: each block makes its labels, TX samples and
+unit channel noise once and runs each point's noise scale, RX chain and
+demap on them (common random numbers), so every point is its own run at the
+same seed, bit for bit.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import warnings
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from statistics import NormalDist
 from typing import Any
 
@@ -375,18 +379,15 @@ class _Context:
     # "thermal": kTB channel noise plus stage noise, both drawn by the chains
     # "ebn0":    calibrated AWGN only   "off": no noise anywhere
     noise_mode: str
-    channel_noise_var_w: float  # at the RX input: kTB, or the calibrated AWGN
     cloud_points: int
 
 
 @dataclass
 class _BlockStats:
-    n_errors: int
     ref_energy: float
     tx_err_energy: float
-    rx_err_energy: float
     tx_cloud: np.ndarray
-    rx_cloud: np.ndarray
+    points: list[tuple[int, float, np.ndarray]]  # bit errors, RX error energy, RX cloud
 
 
 def _block_sizes(n_symbols: int) -> list[int]:
@@ -416,16 +417,8 @@ def _build_context(config: SimConfig) -> _Context:
         # the budget path surfaces the near-field advisory; not once per run here
         warnings.simplefilter("ignore")
         path_db = path_gain_db(scenario.channel)
-        rx_power_dbm = friis_received_power(scenario.tx_power_dbm, scenario.channel)
-
-    if config.calibration_ebn0_db is not None:
-        noise_mode = "ebn0"
-        # Es/N0 against the budget's received power, small-signal TX output
-        esn0_db = config.calibration_ebn0_db + 10.0 * math.log10(cmap.bits_per_symbol)
-        channel_noise_var_w = dbm_to_watts(rx_power_dbm) / 10.0 ** (esn0_db / 10.0)
-    else:
-        noise_mode = "thermal" if config.noise_enabled else "off"
-        channel_noise_var_w = dbm_to_watts(noise_floor(bw, 0.0))
+    noise_mode = ("ebn0" if config.calibration_ebn0_db is not None
+                  else "thermal" if config.noise_enabled else "off")
 
     return _Context(
         cmap=cmap,
@@ -440,9 +433,28 @@ def _build_context(config: SimConfig) -> _Context:
         input_power_w=dbm_to_watts(drive_dbm),
         path_amplitude=10.0 ** (path_db / 20.0),
         noise_mode=noise_mode,
-        channel_noise_var_w=channel_noise_var_w,
         cloud_points=min(n_symbols, _MAX_CLOUD_POINTS),
     )
+
+
+def _channel_noise_var_w(config: SimConfig) -> float:
+    """The channel noise variance at the RX input: kTB, or the calibrated AWGN."""
+    scenario = config.scenario
+    if config.calibration_ebn0_db is None:
+        return dbm_to_watts(noise_floor(scenario.bandwidth_hz, 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the budget path surfaces the advisory
+        rx_power_dbm = friis_received_power(scenario.tx_power_dbm, scenario.channel)
+    # Es/N0 against the budget's received power, small-signal TX output
+    esn0_db = config.calibration_ebn0_db + 10.0 * math.log10(scenario.bits_per_symbol)
+    return dbm_to_watts(rx_power_dbm) / 10.0 ** (esn0_db / 10.0)
+
+
+def _energy(x: np.ndarray) -> float:
+    """sum |x|**2, through one temporary."""
+    squares = x.real ** 2
+    squares += x.imag ** 2
+    return np.sum(squares)
 
 
 def _gain_and_error(measured: np.ndarray, reference: np.ndarray,
@@ -458,8 +470,10 @@ def _gain_and_error(measured: np.ndarray, reference: np.ndarray,
     error energy is reference_energy - |c|**2 / sum |measured|**2, so bulk
     gain and phase are not error; it is clamped at 0 against rounding.
     """
-    c = np.sum(np.conj(reference) * measured)
-    power = np.sum(measured.real ** 2 + measured.imag ** 2)
+    power = _energy(measured)
+    product = np.conj(reference)
+    product *= measured
+    c = np.sum(product)
     error = max(0.0, reference_energy - abs(c) ** 2 / power) if power else reference_energy
     gain = c / reference_energy
     return (gain if gain != 0.0 else 1.0), float(error)
@@ -496,49 +510,54 @@ def _tx_block(config: SimConfig, ctx: _Context, block: int, n_sym: int, *,
     return labels, symbols, reduce(transmit) if reduce else transmit()
 
 
-def _simulate_block(config: SimConfig, ctx: _Context, block: int,
-                    n_sym: int) -> _BlockStats:
-    cmap = ctx.cmap
+def _simulate_block(config: SimConfig, ctx: _Context, block: int, n_sym: int,
+                    noise_vars: list[float]) -> _BlockStats:
+    """One block's statistics at each channel noise variance of noise_vars.
+
+    The labels, the TX samples and the unit channel noise are made once and
+    serve every point (common random numbers): each point's statistics are
+    bit for bit those of a block run at that variance alone.
+    """
     guard = ctx.guard_symbols
     base = block * _STREAMS_PER_BLOCK
-    start_sym = block * _SYMBOLS_PER_BLOCK
+    cloud_take = max(0, min(n_sym, ctx.cloud_points - block * _SYMBOLS_PER_BLOCK))
 
     labels, symbols, tx_samples = _tx_block(config, ctx, block, n_sym, full_rate=False)
     ref = symbols[guard:guard + n_sym]
     ref_labels = labels[guard:guard + n_sym]
+    ref_energy = _energy(ref)
+    tx_gain, tx_err_energy = _gain_and_error(tx_samples, ref, ref_energy)
+    tx_cloud = tx_samples[:cloud_take] / tx_gain
 
     # every stage after the pulse shaper is memoryless and every noise draw
     # white per sample, so the channel and the RX chain run on the instants:
     # the free-space path, then the additive noise for the selected mode;
     # thermal channel noise is due at the RX chain input, which draws it
     # together with the noise of the chain's first linear stages
-    rx_samples = tx_samples * ctx.path_amplitude
+    tx_samples *= ctx.path_amplitude
     rx_rng = None
     if ctx.noise_mode == "thermal":
         rx_rng = noise_generator(config.seed, base + _STREAM_RX)
     elif ctx.noise_mode == "ebn0":
         chan_rng = noise_generator(config.seed, base + _STREAM_CHANNEL)
-        rx_samples += complex_noise(chan_rng, n_sym, ctx.channel_noise_var_w)
-    rx_samples = chain_transfer(rx_samples, ctx.rx_chain, ctx.bandwidth_hz, rx_rng,
-                                ctx.channel_noise_var_w)
-
-    ref_energy = np.sum(ref.real ** 2 + ref.imag ** 2)
-    tx_gain, tx_err_energy = _gain_and_error(tx_samples, ref, ref_energy)
-    rx_gain, rx_err_energy = _gain_and_error(rx_samples, ref, ref_energy)
-    rx_norm = rx_samples / rx_gain
-
-    rx_labels = demap_hard(rx_norm, cmap)
-    n_errors = int(np.bitwise_count(rx_labels ^ ref_labels).sum())
-
-    cloud_take = max(0, min(n_sym, ctx.cloud_points - start_sym))
-    return _BlockStats(
-        n_errors=n_errors,
-        ref_energy=float(ref_energy),
-        tx_err_energy=tx_err_energy,
-        rx_err_energy=rx_err_energy,
-        tx_cloud=tx_samples[:cloud_take] / tx_gain,
-        rx_cloud=rx_norm[:cloud_take].copy(),
-    )
+        unit = complex_noise(chan_rng, n_sym, 2.0)  # N(0, 1) per axis, scaled by 1.0
+        rx_buffer = np.empty_like(unit) if len(noise_vars) > 1 else unit
+    points = []
+    for noise_var_w in noise_vars:
+        rx_samples = tx_samples  # thermal and noise-off runs have one point
+        if ctx.noise_mode == "ebn0":
+            # the point's noise plus the faded TX samples: addition commutes,
+            # so bit for bit the faded samples plus noise drawn at its variance
+            rx_samples = np.multiply(unit, math.sqrt(noise_var_w / 2.0), out=rx_buffer)
+            rx_samples += tx_samples
+        rx_samples = chain_transfer(rx_samples, ctx.rx_chain, ctx.bandwidth_hz, rx_rng,
+                                    noise_var_w)
+        rx_gain, rx_err_energy = _gain_and_error(rx_samples, ref, ref_energy)
+        rx_samples /= rx_gain
+        rx_labels = demap_hard(rx_samples, ctx.cmap)
+        n_errors = int(np.bitwise_count(rx_labels ^ ref_labels).sum())
+        points.append((n_errors, rx_err_energy, rx_samples[:cloud_take].copy()))
+    return _BlockStats(float(ref_energy), tx_err_energy, tx_cloud, points)
 
 
 def worker_count(n_jobs: int) -> int:
@@ -583,37 +602,49 @@ def run_plans(plans: Iterable[Plan]) -> Iterator:
         pool.shutdown(cancel_futures=True)
 
 
-def link_sim_plan(config: SimConfig) -> Plan:
-    """The Monte-Carlo blocks of config, finishing in its SimResult.
+def link_sim_plan(config: SimConfig, ebn0_values: Iterable[float] | None = None) -> Plan:
+    """The Monte-Carlo blocks of config, finishing in a list of SimResults:
+    config's own, or config's at each calibration Eb/N0 of ebn0_values.
 
+    Every point is run_link_sim of its config, bit for bit: the points share
+    each block's labels, TX samples and unit channel noise (common random
+    numbers), so they are correlated, and each block job serves them all.
     Deterministic for a fixed seed under any worker count: blocks own their
     RNG streams and the reduction happens in block order.
     """
-    ctx = _build_context(config)
+    points = [config] if ebn0_values is None else [
+        replace(config, calibration_ebn0_db=ebn0) for ebn0 in ebn0_values]
+    ctx = _build_context(points[0])
+    noise_vars = [_channel_noise_var_w(point) for point in points]
     sizes = _block_sizes(ctx.n_symbols)
 
-    def finish(stats: list[_BlockStats]) -> SimResult:
-        n_errors = sum(s.n_errors for s in stats)
+    def finish(stats: list[_BlockStats]) -> list[SimResult]:
         ref_energy = sum(s.ref_energy for s in stats)
-        tx_err = sum(s.tx_err_energy for s in stats)
-        rx_err = sum(s.rx_err_energy for s in stats)
-        return SimResult(
-            measured_ber=n_errors / config.n_bits,
-            ber_confidence=wilson_interval(n_errors, config.n_bits),
-            tx_evm_pct=100.0 * math.sqrt(tx_err / ref_energy),
-            rx_evm_pct=100.0 * math.sqrt(rx_err / ref_energy),
-            tx_constellation=np.concatenate([s.tx_cloud for s in stats]),
-            rx_constellation=np.concatenate([s.rx_cloud for s in stats]),
-            n_bits_run=config.n_bits,
-            n_bit_errors=n_errors,
-        )
+        tx_evm_pct = 100.0 * math.sqrt(sum(s.tx_err_energy for s in stats) / ref_energy)
+        tx_cloud = np.concatenate([s.tx_cloud for s in stats])
+        results = []
+        for blocks in zip(*(s.points for s in stats)):
+            n_errors = sum(errors for errors, _, _ in blocks)
+            rx_err = sum(energy for _, energy, _ in blocks)
+            results.append(SimResult(
+                measured_ber=n_errors / config.n_bits,
+                ber_confidence=wilson_interval(n_errors, config.n_bits),
+                tx_evm_pct=tx_evm_pct,
+                rx_evm_pct=100.0 * math.sqrt(rx_err / ref_energy),
+                tx_constellation=tx_cloud,
+                rx_constellation=np.concatenate([cloud for _, _, cloud in blocks]),
+                n_bits_run=config.n_bits,
+                n_bit_errors=n_errors,
+            ))
+        return results
 
-    return Plan(len(sizes), lambda i: _simulate_block(config, ctx, i, sizes[i]), finish)
+    return Plan(len(sizes), lambda i: _simulate_block(config, ctx, i, sizes[i], noise_vars),
+                finish)
 
 
 def run_link_sim(config: SimConfig) -> SimResult:
     """Run the Monte-Carlo link simulation described by config."""
-    return next(run_plans([link_sim_plan(config)]))
+    return next(run_plans([link_sim_plan(config)]))[0]
 
 
 def window_plan(config: SimConfig) -> Plan:

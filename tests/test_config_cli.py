@@ -339,23 +339,38 @@ class TestBerSweepCommand:
                          "--step", "0", "--theory-only", "--out", str(tmp_path)])
         assert code == 1
 
-    def test_sweep_point_runs_the_configured_link(self, tmp_path):
-        """Point i of the sweep is `simulate --ebn0` on the same config at
-        seed + i; it used to run a hidden QPSK-style calibration setup."""
+    def test_sweep_point_runs_the_configured_link(self, tmp_path, monkeypatch):
+        """Point i of the sweep is `simulate --ebn0` on the same config at the
+        sweep's seed, errors and EVMs alike; it used to run a hidden
+        QPSK-style calibration setup."""
+        finished = []
+        real_run_plans = cli.run_plans
+
+        def run_plans(plans):
+            for result in real_run_plans(plans):
+                finished.append(result)
+                yield result
+
+        monkeypatch.setattr(cli, "run_plans", run_plans)
         code = cli.main(["ber-sweep", "--config", str(PAPER_CFG), "--from", "12",
                          "--to", "14", "--step", "2", "--bits", "80000",
                          "--seed", "5", "--out", str(tmp_path / "sweep")])
         assert code == 0
+        [points] = finished
+        monkeypatch.undo()
         rows = (tmp_path / "sweep" / "waterfall.csv").read_text().splitlines()[1:]
-        for i, row in enumerate(rows):
+        for row, point in zip(rows, points, strict=True):
             ebn0, _, measured, _, _ = row.split(",")
             code = cli.main(["simulate", "--config", str(PAPER_CFG), "--ebn0", ebn0,
-                             "--bits", "80000", "--seed", str(5 + i),
+                             "--bits", "80000", "--seed", "5",
                              "--out", str(tmp_path / ebn0)])
             assert code == 0
             report = read_report(tmp_path / ebn0 / "sim_report.txt")
             assert int(report["n_bit_errors"]) > 0
             assert round(float(measured) * 80000) == int(report["n_bit_errors"])
+            assert point.n_bit_errors == int(report["n_bit_errors"])
+            assert report["tx_evm_pct"] == f"{point.tx_evm_pct:.4f}"
+            assert report["rx_evm_pct"] == f"{point.rx_evm_pct:.4f}"
 
     @pytest.mark.parametrize("flag,value", [
         ("--to", "nan"), ("--from", "-inf"), ("--step", "inf")])

@@ -319,25 +319,32 @@ class TestRunLinkSim:
     @pytest.mark.parametrize("pa_linear", [False, True])
     def test_calibrated_noise_is_referred_to_the_budget_rx_power(self, monkeypatch,
                                                                  pa_linear):
-        """Every block draws AWGN of the budget's received power over Es/N0.
-        A linear chain transmits that power; the compressing PA delivers
-        ~0.15 dB less, which leaves the noise level unchanged."""
+        """Every block draws unit AWGN once and scales it to the budget's
+        received power over Es/N0. A linear chain transmits that power; the
+        compressing PA delivers ~0.15 dB less, which leaves the noise level
+        unchanged."""
         config = load_config(str(PAPER_CFG)).sim_config(
             n_bits=800_000, calibration_ebn0_db=20.0, pa_linear=pa_linear)
         scenario = config.scenario
         rx_power_w = dbm_to_watts(friis_received_power(scenario.tx_power_dbm,
                                                        scenario.channel))
         expected = rx_power_w / 10.0 ** ((20.0 + 10.0 * math.log10(8)) / 10.0)
-        variances = []
-        real = simulate.complex_noise
+        variances, block_variances = [], []
+        real_noise, real_block = simulate.complex_noise, simulate._simulate_block
 
         def recording(rng, shape, variance):
             variances.append(variance)
-            return real(rng, shape, variance)
+            return real_noise(rng, shape, variance)
+
+        def simulate_block(config, ctx, block, n_sym, noise_vars):
+            block_variances.append(noise_vars)
+            return real_block(config, ctx, block, n_sym, noise_vars)
 
         monkeypatch.setattr(simulate, "complex_noise", recording)
+        monkeypatch.setattr(simulate, "_simulate_block", simulate_block)
         run_link_sim(config)
-        assert variances == [pytest.approx(expected, rel=1e-12, abs=0)] * 4
+        assert variances == [2.0] * 4
+        assert block_variances == [[pytest.approx(expected, rel=1e-12, abs=0)]] * 4
         # the drive is normalised on the samples between the block guards,
         # which make up the window where the TX power is measured
         drop = scenario.tx_power_dbm - transmit_waveform(config)[2]
@@ -968,17 +975,25 @@ class TestOnePool:
         assert len(pools) == 1
 
     def test_sweep_rows_are_per_point_runs(self, monkeypatch, tmp_path):
-        """Point i of a flattened sweep reads what run_link_sim gives for it
-        alone, at 1 and 2 workers; each point has 4 blocks."""
+        """Point i of a sweep reads what run_link_sim gives for it alone at
+        the sweep's seed, EVMs and constellations included, at 1 and 2
+        workers; each point has 4 blocks."""
         cfg = load_config(str(QPSK_CFG))
-        expected = []
-        for i, ebn0 in enumerate((3.0, 4.5, 6.0)):
-            result = run_link_sim(cfg.sim_config(n_bits=200_000, seed=cfg.seed + i,
-                                                 calibration_ebn0_db=ebn0))
-            lo, hi = result.ber_confidence
-            expected.append(f"{result.measured_ber:.8e},{lo:.8e},{hi:.8e}")
+        alone = [run_link_sim(cfg.sim_config(n_bits=200_000, calibration_ebn0_db=ebn0))
+                 for ebn0 in (3.0, 4.5, 6.0)]
+        expected = [f"{r.measured_ber:.8e},{r.ber_confidence[0]:.8e},"
+                    f"{r.ber_confidence[1]:.8e}" for r in alone]
         monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
+        real_run_plans, finished = cli.run_plans, []
+
+        def run_plans(plans):
+            for result in real_run_plans(plans):
+                finished.append(result)
+                yield result
+
+        monkeypatch.setattr(cli, "run_plans", run_plans)
         for threads in ("1", "2"):
+            finished.clear()
             monkeypatch.setenv("QAMLINK_THREADS", threads)
             out = tmp_path / threads
             assert cli.main(["ber-sweep", "--config", str(QPSK_CFG), "--from", "3",
@@ -986,6 +1001,42 @@ class TestOnePool:
                              "--out", str(out)]) == 0
             rows = (out / "waterfall.csv").read_text().splitlines()[1:]
             assert [row.split(",", 2)[2] for row in rows] == expected, threads
+            [points] = finished
+            for point, result in zip(points, alone, strict=True):
+                assert point.n_bit_errors == result.n_bit_errors, threads
+                assert point.tx_evm_pct == result.tx_evm_pct, threads
+                assert point.rx_evm_pct == result.rx_evm_pct, threads
+                np.testing.assert_array_equal(point.tx_constellation,
+                                              result.tx_constellation)
+                np.testing.assert_array_equal(point.rx_constellation,
+                                              result.rx_constellation)
+
+    def test_sweep_shares_each_blocks_labels_and_noise(self, monkeypatch, tmp_path):
+        """A 3-point sweep of 200 kbit of qpsk.cfg (4 blocks) maps each
+        block's labels once and draws its 2 n_sym channel N(0, 1) samples
+        once, at 1 and 2 workers: not once per point."""
+        cfg = load_config(str(QPSK_CFG))
+        ctx = simulate._build_context(cfg.sim_config(n_bits=200_000))
+        sizes = simulate._block_sizes(ctx.n_symbols)
+        assert len(sizes) == 4 and 2 * ctx.n_symbols == 200_000
+        real_map, real_generator = simulate.map_bits, simulate.noise_generator
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
+        for threads in ("1", "2"):
+            mapped, draws = [], []
+
+            def map_bits(labels, cmap):
+                mapped.append(labels.size)
+                return real_map(labels, cmap)
+
+            monkeypatch.setattr(simulate, "map_bits", map_bits)
+            monkeypatch.setattr(simulate, "noise_generator",
+                                lambda *a: _CountingGenerator(real_generator(*a), draws))
+            monkeypatch.setenv("QAMLINK_THREADS", threads)
+            assert cli.main(["ber-sweep", "--config", str(QPSK_CFG), "--from", "3",
+                             "--to", "6", "--step", "1.5", "--bits", "200000",
+                             "--out", str(tmp_path / threads)]) == 0
+            assert sorted(mapped) == sorted(sizes), threads
+            assert sum(draws) == 2 * ctx.n_symbols, threads
 
     def test_closing_early_cancels_queued_jobs(self, monkeypatch):
         """One worker, a one-block plan, then a slow three-block plan: after
