@@ -275,7 +275,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:  # ConfigError included
+    except (ValueError, OSError, OverflowError) as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except MemoryError as exc:  # numpy's message names the array it could not allocate

@@ -96,9 +96,10 @@ class RunConfig:
                    calibration_ebn0_db: float | None = None,
                    noise_enabled: bool = True,
                    pa_linear: bool = False) -> SimConfig:
+        scenario = self.scenario()  # raises ConfigError with its own source prefix
         try:
             return SimConfig(
-                scenario=self.scenario(),
+                scenario=scenario,
                 tx_chain=ChainSpec(tuple(self.tx_stages)),
                 n_bits=self.n_bits if n_bits is None else n_bits,
                 seed=self.seed if seed is None else seed,

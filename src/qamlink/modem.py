@@ -70,7 +70,7 @@ def map_bits(labels, cmap: ConstellationMap) -> np.ndarray:
     Each label is one uint8 holding a symbol's bits MSB first; a label at or
     above ``cmap.order`` raises IndexError.
     """
-    return cmap.points[labels]
+    return np.take(cmap.points, labels)
 
 
 def _nearest_axis_label(values: np.ndarray, cmap: ConstellationMap) -> np.ndarray:
@@ -78,7 +78,8 @@ def _nearest_axis_label(values: np.ndarray, cmap: ConstellationMap) -> np.ndarra
 
     A value exactly between two levels resolves to the smaller Gray label,
     which makes the full-symbol tie rule "smaller label wins" hold because
-    the I bits sit above the Q bits.
+    the I bits sit above the Q bits. The label of level index i is its
+    reflected Gray code i ^ (i >> 1), computed elementwise, not looked up.
     """
     levels = cmap.axis_levels
     labels = cmap.axis_labels
@@ -89,7 +90,7 @@ def _nearest_axis_label(values: np.ndarray, cmap: ConstellationMap) -> np.ndarra
     idx = np.zeros(values.shape, dtype=np.uint8)
     for k, mid in enumerate(mids):
         idx += (values > mid) if labels[k] <= labels[k + 1] else (values >= mid)
-    return labels[idx]
+    return _gray(idx)  # labels[idx]: build_constellation labels level i with _gray(i)
 
 
 def demap_hard(symbols, cmap: ConstellationMap) -> np.ndarray:

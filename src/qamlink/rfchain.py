@@ -136,12 +136,15 @@ def amplifier_transfer(x, spec: StageSpec):
         peak_in = math.sqrt(a1 / (3.0 * a3))
         flat = x.reshape(-1)
         env = np.abs(flat)
-        gain = a1 - a3 * env * env
+        gain = np.multiply(env, -a3)  # a1 - a3 * env * env in one array, rounded alike
+        gain *= env
+        gain += a1
         clip = np.flatnonzero(env > peak_in)
-        shrink = peak_in / env[clip]
-        clipped = env[clip] * shrink
-        gain[clip] = (a1 - a3 * clipped * clipped) * shrink
-        y = (gain * flat).reshape(x.shape)
+        if clip.size:
+            shrink = peak_in / env[clip]
+            clipped = env[clip] * shrink
+            gain[clip] = (a1 - a3 * clipped * clipped) * shrink
+        y = np.multiply(gain, flat).reshape(x.shape)
     return complex(y) if y.ndim == 0 else y
 
 

@@ -553,7 +553,7 @@ def _simulate_block(config: SimConfig, ctx: _Context, block: int, n_sym: int,
         rx_samples = chain_transfer(rx_samples, ctx.rx_chain, ctx.bandwidth_hz, rx_rng,
                                     noise_var_w)
         rx_gain, rx_err_energy = _gain_and_error(rx_samples, ref, ref_energy)
-        rx_samples /= rx_gain
+        rx_samples *= 1.0 / rx_gain
         rx_labels = demap_hard(rx_samples, ctx.cmap)
         n_errors = int(np.bitwise_count(rx_labels ^ ref_labels).sum())
         points.append((n_errors, rx_err_energy, rx_samples[:cloud_take].copy()))

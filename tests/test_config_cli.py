@@ -424,6 +424,46 @@ class TestSpectrumCommand:
         assert len(lines) > 64
 
 
+class TestErrorLines:
+    """Every failure reaching main exits 1 with one stderr line."""
+
+    def test_config_error_names_its_file_once(self, tmp_path, capsys):
+        """A value the scenario rejects used to be prefixed twice, as in
+        'paper.cfg: paper.cfg: transmit power must be finite, got inf'."""
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(re.sub(r"^distance_m = .*$", "distance_m = -5",
+                              PAPER_CFG.read_text(), flags=re.M))
+        runs = [(PAPER_CFG, [command, "--tx-power", "inf"])
+                for command in ("simulate", "spectrum")]
+        runs += [(bad, [command]) for command in ("simulate", "spectrum")]
+        runs.append((bad, ["ber-sweep", "--from", "0", "--to", "1"]))
+        for path, argv in runs:
+            code = cli.main([*argv, "--config", str(path), "--out", str(tmp_path / "out")])
+            err = capsys.readouterr().err
+            assert code == 1
+            assert err.count("\n") == 1 and err.startswith(f"error: {path}: ")
+            assert err.count(f"{path}:") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["budget"], ["simulate", "--bits", "8000"], ["spectrum", "--bits", "8000"],
+        ["ber-sweep", "--from", "0", "--to", "1", "--bits", "8000"]])
+    def test_overflowing_power_exits_1_with_one_line(self, tmp_path, capsys, argv):
+        """1e308 dBm overflows the dBm-to-watts conversion; it used to end in
+        an OverflowError traceback. ber-sweep takes its drive from the config
+        only."""
+        big = tmp_path / "big.cfg"
+        big.write_text(re.sub(r"^tx_power_dbm = .*$", "tx_power_dbm = 1e308",
+                              PAPER_CFG.read_text(), flags=re.M))
+        runs = [[*argv, "--config", str(big)]]
+        if argv[0] != "ber-sweep":
+            runs.append([*argv, "--config", str(PAPER_CFG), "--tx-power", "1e308"])
+        for run in runs:
+            code = cli.main([*run, "--out", str(tmp_path / "out")])
+            err = capsys.readouterr().err
+            assert code == 1
+            assert err.count("\n") == 1 and err.startswith("error: ")
+
+
 class TestUsage:
     def test_unknown_command_exits_1(self, capsys):
         assert cli.main(["nonsense"]) == 1

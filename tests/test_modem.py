@@ -229,6 +229,75 @@ class TestMapping:
         assert got.dtype == np.uint8
         np.testing.assert_array_equal(got, label)
 
+    @orders
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_demap_matches_brute_force_nearest_point(self, order, data):
+        """demap_hard is the nearest point, smaller label on a tie, for drawn
+        values, every level and midpoint and their float neighbours, and
+        huge values; its Gray labels rest on axis_labels being the reflected
+        code of the level index."""
+        cmap = build_constellation(order)
+        levels = cmap.axis_levels
+        idx = np.arange(levels.size, dtype=np.uint8)
+        np.testing.assert_array_equal(cmap.axis_labels, idx ^ (idx >> 1))
+
+        mids = 0.5 * (levels[:-1] + levels[1:])
+        big = np.finfo(np.float64).max
+        special = [*levels, *mids, *np.nextafter(mids, -np.inf),
+                   *np.nextafter(mids, np.inf), -big, big, -1e300, 1e300]
+        value = st.one_of(st.sampled_from(special), st.floats(-2.0, 2.0),
+                          st.floats(allow_nan=False, allow_infinity=False))
+        drawn_i = data.draw(st.lists(value, min_size=1, max_size=24))
+        drawn_q = data.draw(st.lists(value, min_size=len(drawn_i),
+                                     max_size=len(drawn_i)))
+        # every special value on each axis, against drawn values on the other
+        symbols = np.empty(len(drawn_i) + 2 * len(special), dtype=np.complex128)
+        symbols.real = [*drawn_i, *special, *np.resize(drawn_q, len(special))]
+        symbols.imag = [*drawn_q, *np.resize(drawn_i, len(special)), *special]
+        got = demap_hard(symbols, cmap)
+        assert got.dtype == np.uint8
+        np.testing.assert_array_equal(got, brute_force_labels(symbols, cmap))
+
+
+# 2**-1075 divides every float and the exact midpoint of any two
+_EXACT_SCALE = 1075
+
+
+def _exact(value):
+    """A finite float as an exact integer count of 2**-1075."""
+    num, den = float(value).as_integer_ratio()
+    return num * ((1 << _EXACT_SCALE) // den)
+
+
+def brute_force_labels(symbols, cmap):
+    """Label of the point at the least exact squared distance among all
+    cmap.order points, the smaller label among equals.
+
+    A value on the float midpoint 0.5 * (a + b) of two adjacent axis levels
+    stands for their exact midpoint, the tie the demapper documents: for
+    64-QAM that float lies up to half an ulp off the exact midpoint, and no
+    other float lies between the two.
+    """
+    levels = np.unique(cmap.points.real)
+    exact_mid = {float(0.5 * (a + b)): (_exact(a) + _exact(b)) // 2
+                 for a, b in zip(levels[:-1], levels[1:])}
+
+    def coordinate(v):
+        v = float(v)
+        return exact_mid[v] if v in exact_mid else _exact(v)
+
+    points = [(_exact(p.real), _exact(p.imag)) for p in cmap.points]
+    coords = {c for point in points for c in point}
+    labels = []
+    for s in symbols:
+        i, q = coordinate(s.real), coordinate(s.imag)
+        di = {c: (i - c) ** 2 for c in coords}
+        dq = {c: (q - c) ** 2 for c in coords}
+        dist = [di[pi] + dq[pq] for pi, pq in points]
+        labels.append(min(range(cmap.order), key=lambda label: (dist[label], label)))
+    return np.array(labels, dtype=np.uint8)
+
 
 class TestBandwidthPlan:
     def test_paper_rates(self):

@@ -184,6 +184,43 @@ class TestAmplifier:
             assert isinstance(y, complex)
             assert y == masked_divide(np.complex128(value * (1 - 1j)))
 
+    def test_gain_in_one_array_rounds_as_the_expression(self):
+        """The gain built in one array equals a1 - a3 * env * env bit for bit,
+        driven below, at and past the polynomial's peak input (the clip
+        branch), for 1-D, 2-D and 0-d input, signed zeros included."""
+        a1, a3 = rfchain._polynomial_coefficients(PA)
+        peak_in = math.sqrt(a1 / (3.0 * a3))
+
+        def expression_form(x):
+            flat = x.reshape(-1)
+            env = np.abs(flat)
+            gain = a1 - a3 * env * env
+            clip = np.flatnonzero(env > peak_in)
+            shrink = peak_in / env[clip]
+            clipped = env[clip] * shrink
+            gain[clip] = (a1 - a3 * clipped * clipped) * shrink
+            return (gain * flat).reshape(x.shape)
+
+        def bits(y):
+            return np.asarray(y, dtype=np.complex128).reshape(-1).view(np.int64)
+
+        rng = np.random.default_rng(21)
+        x = complex_noise(rng, 32768, 1.0)
+        x[:4] = [0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0)]
+        inputs = [drive * peak_in * x for drive in (0.05, 0.3, 1.0, 3.0)]
+        inputs.append(np.array([peak_in, np.nextafter(peak_in, 0.0),
+                                np.nextafter(peak_in, np.inf), 3.0 * peak_in]) + 0j)
+        inputs.append(0.8 * peak_in * x.reshape(64, 512))
+        for sample in inputs:
+            y = amplifier_transfer(sample, PA)
+            assert y.shape == sample.shape
+            np.testing.assert_array_equal(bits(y), bits(expression_form(sample)))
+        for value in (0.3 * peak_in * (1 - 1j), 2.0 * peak_in * (1 - 1j)):
+            y = amplifier_transfer(value, PA)
+            assert isinstance(y, complex)
+            np.testing.assert_array_equal(bits(y),
+                                          bits(expression_form(np.complex128(value))))
+
     def test_envelope_monotone_and_clipped(self):
         amps = np.linspace(0.0, 5.0, 4000)
         out = np.abs(amplifier_transfer(amps + 0j, PA))
