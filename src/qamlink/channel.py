@@ -34,6 +34,14 @@ class ChannelSpec:
             raise ValueError(f"frequency must be > 0 Hz, got {self.frequency_hz}")
         if self.distance_m <= 0.0:
             raise ValueError(f"distance must be > 0 m, got {self.distance_m}")
+        if not 0.0 < self.spreading < math.inf:
+            raise ValueError(
+                f"free-space gain lambda/(4 pi d) must be finite and > 0, got {self.spreading}")
+
+    @property
+    def spreading(self) -> float:
+        """Free-space voltage gain lambda / (4 pi d)."""
+        return wavelength(self.frequency_hz) / (4.0 * math.pi * self.distance_m)
 
 
 def path_gain_db(spec: ChannelSpec) -> GainDb:
@@ -46,7 +54,7 @@ def path_gain_db(spec: ChannelSpec) -> GainDb:
             "at this frequency; the far-field model is optimistic here",
             stacklevel=2)
     antenna_gain = spec.tx_antenna_gain_db + spec.rx_antenna_gain_db
-    return antenna_gain + 20.0 * math.log10(lam / (4.0 * math.pi * d))
+    return antenna_gain + 20.0 * math.log10(spec.spreading)
 
 
 def friis_received_power(p_tx_dbm: PowerDbm, spec: ChannelSpec) -> PowerDbm:

@@ -179,7 +179,7 @@ def cmd_ber_sweep(args) -> int:
     if args.theory_only:
         rows = [f"{ebn0:.2f},{ber:.8e},,," for ebn0, ber in zip(ebn0_values, theory)]
     else:
-        n = int(math.log2(cfg.modulation_order))
+        n = cfg.scenario().bits_per_symbol
         n_bits = cfg.n_bits - cfg.n_bits % n
         # one plan: each block job makes its TX samples and unit channel
         # noise once and runs every point on them, all at --seed

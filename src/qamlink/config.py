@@ -1,8 +1,9 @@
 """Flat ``key = value`` run-configuration files.
 
 Unknown keys, malformed lines, and bad or non-finite values all raise
-ConfigError with the offending file and line number; a file either parses
-completely or not at all.
+ConfigError with the offending file and line number. A parsed file is then
+checked against every rule of the scenario, channel, chains and simulation
+config, so a file either loads completely or not at all, for every command.
 Missing keys fall back to the reference design shipped in ``paper.cfg``,
 which sets every key (1 Gbps, 256-QAM, 5 GHz, 23.31 dBm). The two
 published-figure overrides take ``none`` to select the derived value.
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field, fields
 from .channel import ChannelSpec
 from .linkbudget import LinkScenario
 from .rfchain import ChainSpec, StageSpec
-from .simulate import PULSE_SHAPES, SimConfig
+from .simulate import SimConfig
 
 
 class ConfigError(ValueError):
@@ -69,14 +70,6 @@ class RunConfig:
     evm_threshold_pct: float = 2.0
     output_dir: str = "."
 
-    def channel(self) -> ChannelSpec:
-        return ChannelSpec(
-            frequency_hz=self.frequency_hz,
-            distance_m=self.distance_m,
-            tx_antenna_gain_db=self.tx_antenna_gain_db,
-            rx_antenna_gain_db=self.rx_antenna_gain_db,
-        )
-
     def scenario(self) -> LinkScenario:
         try:
             return LinkScenario(
@@ -84,7 +77,8 @@ class RunConfig:
                 modulation_order=self.modulation_order,
                 target_ber=self.target_ber,
                 tx_power_dbm=self.tx_power_dbm,
-                channel=self.channel(),
+                channel=ChannelSpec(self.frequency_hz, self.distance_m,
+                                    self.tx_antenna_gain_db, self.rx_antenna_gain_db),
                 rx_chain=ChainSpec(tuple(self.rx_stages)),
                 ebn0_override_db=self.ebn0_override_db,
                 rx_nf_override_db=self.rx_nf_override_db,
@@ -170,9 +164,7 @@ def parse_config_text(text: str, source: str = "<string>") -> RunConfig:
         entries[key] = (value, lineno)
 
     cfg = RunConfig(source=source)
-    chain_fields: dict[str, dict[int, dict[str, tuple[str, int]]]] = {
-        "tx": {}, "rx": {}}
-
+    chain_fields: dict[str, dict[int, dict]] = {"tx": {}, "rx": {}}
     for key, (value, lineno) in entries.items():
         where = f"{source}:{lineno}"
         m = _CHAIN_KEY.match(key)
@@ -182,16 +174,12 @@ def parse_config_text(text: str, source: str = "<string>") -> RunConfig:
                 raise ConfigError(
                     f"{where}: unknown stage field {fieldname!r}; "
                     f"expected one of {_STAGE_FIELDS}")
-            chain_fields[side].setdefault(index, {})[fieldname] = (value, lineno)
+            chain_fields[side].setdefault(index, {})[fieldname] = (
+                value if fieldname == "name" else _parse_float(value, where, key))
         elif key in _KEYS:
             setattr(cfg, key, _KEYS[key](value, where, key))
         else:
             raise ConfigError(f"{where}: unknown key {key!r}")
-
-    if cfg.pulse_shape not in PULSE_SHAPES:
-        raise ConfigError(
-            f"{source}: pulse_shape must be one of {PULSE_SHAPES}, "
-            f"got {cfg.pulse_shape!r}")
 
     for side, per_index in chain_fields.items():
         if not per_index:
@@ -203,18 +191,13 @@ def parse_config_text(text: str, source: str = "<string>") -> RunConfig:
                 if required not in given:
                     raise ConfigError(
                         f"{source}: {side}_chain.{index} is missing {required}")
-            name = given.get("name", (f"{side}_stage_{index}", 0))[0]
-            numbers = {}
-            for key in _STAGE_FIELDS[1:]:
-                if key in given:
-                    value, lineno = given[key]
-                    numbers[key] = _parse_float(value, f"{source}:{lineno}",
-                                                f"{side}_chain.{index}.{key}")
+            given.setdefault("name", f"{side}_stage_{index}")
             try:
-                stages.append(StageSpec(name=name, **numbers))
+                stages.append(StageSpec(**given))
             except ValueError as exc:
                 raise ConfigError(f"{source}: {side}_chain.{index}: {exc}") from exc
         setattr(cfg, f"{side}_stages", stages)
+    cfg.sim_config()  # every scenario, channel and simulation rule, checked once here
     return cfg
 
 

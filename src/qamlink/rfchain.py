@@ -154,16 +154,15 @@ def stage_added_noise_watts(spec: StageSpec, bandwidth_hz: float) -> float:
     return ktb_w * (db_to_linear(spec.nf_db) - 1.0) * db_to_linear(spec.gain_db)
 
 
-def chain_transfer(x, chain: ChainSpec, bandwidth_hz: float | None = None,
+def chain_transfer(x, chain: ChainSpec, bandwidth_hz: float,
                    rng: np.random.Generator | None = None,
                    input_noise_watts: float = 0.0) -> np.ndarray:
     """Run 1-D complex baseband samples through every stage in order.
 
     Given an RNG the chain is noisy: ``input_noise_watts`` of noise is due at
-    the chain input and, given a bandwidth too, each stage adds its own
-    thermal noise (kTB(F-1)G at the stage output), which makes a simulated
-    chain reproduce the Friis cascade noise figure when driven at the kTB
-    floor.
+    the chain input and each stage adds its own thermal noise over the
+    bandwidth (kTB(F-1)G at the stage output), which makes a simulated chain
+    reproduce the Friis cascade noise figure when driven at the kTB floor.
 
     Noise of variance s2 ahead of a linear voltage gain g equals noise of
     variance g^2 s2 behind it, so each maximal run of linear stages folds into
@@ -190,7 +189,7 @@ def chain_transfer(x, chain: ChainSpec, bandwidth_hz: float | None = None,
     return y
 
 
-def _folded_runs(chain: ChainSpec, bandwidth_hz: float | None, noisy: bool,
+def _folded_runs(chain: ChainSpec, bandwidth_hz: float, noisy: bool,
                  input_noise_watts: float):
     """(voltage gain, output-referred noise variance, compressing stage or
     None) of each run: its folded linear stages, then the stage ending it."""
@@ -204,6 +203,6 @@ def _folded_runs(chain: ChainSpec, bandwidth_hz: float | None, noisy: bool,
             g = 10.0 ** (stage.gain_db / 20.0)
             gain *= g
             noise_w *= g * g
-        if noisy and bandwidth_hz is not None:
+        if noisy:
             noise_w += stage_added_noise_watts(stage, bandwidth_hz)
     yield gain, noise_w, None

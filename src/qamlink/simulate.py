@@ -170,7 +170,7 @@ def gaussian_taps(bt: float, samples_per_symbol: int) -> np.ndarray:
     return taps / taps.sum()
 
 
-def pulse_shape(symbols, config: SimConfig | _SymbolRatePulse, start: int = 0,
+def pulse_shape(symbols, pulse: _SymbolRatePulse, start: int = 0,
                 stop: int | None = None) -> np.ndarray:
     """Samples [start, stop) of the symbols upsampled to the waveform grid,
     samples_per_symbol per symbol; by default all of them.
@@ -179,10 +179,9 @@ def pulse_shape(symbols, config: SimConfig | _SymbolRatePulse, start: int = 0,
     with the Gaussian lowpass above (zero group delay, symmetric kernel),
     trimmed to the held length like 'same'-mode convolution. A span is
     filtered from the symbols that reach it alone, bit for bit as a slice of
-    the whole; ``config`` may be the filter bank itself, built once.
+    the whole.
     """
     symbols = np.ascontiguousarray(symbols, dtype=np.complex128)
-    pulse = config if isinstance(config, _SymbolRatePulse) else _SymbolRatePulse.of(config)
     k, sps, delay = pulse.bank.shape[1], pulse.sps, pulse.delay
     stop = symbols.size * sps if stop is None else stop
     # full-convolution rows first..last hold the span, each made from the k
@@ -379,7 +378,6 @@ class _Context:
     # "thermal": kTB channel noise plus stage noise, both drawn by the chains
     # "ebn0":    calibrated AWGN only   "off": no noise anywhere
     noise_mode: str
-    cloud_points: int
 
 
 @dataclass
@@ -433,7 +431,6 @@ def _build_context(config: SimConfig) -> _Context:
         input_power_w=dbm_to_watts(drive_dbm),
         path_amplitude=10.0 ** (path_db / 20.0),
         noise_mode=noise_mode,
-        cloud_points=min(n_symbols, _MAX_CLOUD_POINTS),
     )
 
 
@@ -520,7 +517,8 @@ def _simulate_block(config: SimConfig, ctx: _Context, block: int, n_sym: int,
     """
     guard = ctx.guard_symbols
     base = block * _STREAMS_PER_BLOCK
-    cloud_take = max(0, min(n_sym, ctx.cloud_points - block * _SYMBOLS_PER_BLOCK))
+    # the clouds are block 0's first instants: a block holds more than a cloud
+    cloud_take = _MAX_CLOUD_POINTS if block == 0 else 0
 
     labels, symbols, tx_samples = _tx_block(config, ctx, block, n_sym, full_rate=False)
     ref = symbols[guard:guard + n_sym]
@@ -621,7 +619,6 @@ def link_sim_plan(config: SimConfig, ebn0_values: Iterable[float] | None = None)
     def finish(stats: list[_BlockStats]) -> list[SimResult]:
         ref_energy = sum(s.ref_energy for s in stats)
         tx_evm_pct = 100.0 * math.sqrt(sum(s.tx_err_energy for s in stats) / ref_energy)
-        tx_cloud = np.concatenate([s.tx_cloud for s in stats])
         results = []
         for blocks in zip(*(s.points for s in stats)):
             n_errors = sum(errors for errors, _, _ in blocks)
@@ -631,8 +628,8 @@ def link_sim_plan(config: SimConfig, ebn0_values: Iterable[float] | None = None)
                 ber_confidence=wilson_interval(n_errors, config.n_bits),
                 tx_evm_pct=tx_evm_pct,
                 rx_evm_pct=100.0 * math.sqrt(rx_err / ref_energy),
-                tx_constellation=tx_cloud,
-                rx_constellation=np.concatenate([cloud for _, _, cloud in blocks]),
+                tx_constellation=stats[0].tx_cloud,
+                rx_constellation=blocks[0][2],
                 n_bits_run=config.n_bits,
                 n_bit_errors=n_errors,
             ))

@@ -444,6 +444,31 @@ class TestErrorLines:
             assert err.count("\n") == 1 and err.startswith(f"error: {path}: ")
             assert err.count(f"{path}:") == 1
 
+    @pytest.mark.parametrize("line", [
+        "gaussian_bt = -1", "samples_per_symbol = 1", "evm_threshold_pct = 0",
+        "n_bits = 7", "pulse_shape = square",
+        # lambda / (4 pi d) overflows to inf; it used to run to BER 0.5 and
+        # 0% RX EVM, and budget to an inf dBm sensitivity
+        "frequency_hz = 1e-300", "distance_m = 5e-324"])
+    def test_file_value_a_rule_rejects_fails_every_command_when_read(
+            self, tmp_path, capsys, line):
+        """A file is checked in full as it is read, so budget rejects what
+        simulate rejects (it used to exit 0 on the first four lines), and a
+        flag does not rescue a bad file value."""
+        key = line.split()[0]
+        text, n = re.subn(rf"^{key} = .*$", line, PAPER_CFG.read_text(), flags=re.M)
+        assert n == 1
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        out = tmp_path / "out"
+        for argv in (["budget"], ["simulate"], ["simulate", "--bits", "8000"],
+                     ["spectrum"], ["ber-sweep", "--from", "0", "--to", "1"]):
+            code = cli.main([*argv, "--config", str(path), "--out", str(out)])
+            err = capsys.readouterr().err
+            assert code == 1, argv
+            assert err.count("\n") == 1 and err.startswith(f"error: {path}: "), err
+            assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["budget"], ["simulate", "--bits", "8000"], ["spectrum", "--bits", "8000"],
         ["ber-sweep", "--from", "0", "--to", "1", "--bits", "8000"]])

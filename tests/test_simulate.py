@@ -86,7 +86,7 @@ class TestPulseShaping:
 
     def test_rectangular_hold(self):
         config = calibration_config()
-        held = pulse_shape(np.array([1 + 0j]), config)
+        held = pulse_shape(np.array([1 + 0j]), simulate._SymbolRatePulse.of(config))
         np.testing.assert_array_equal(held, np.ones(2, dtype=complex))
 
     def test_isolated_symbol_peaks_at_sampling_instant(self):
@@ -96,7 +96,7 @@ class TestPulseShaping:
         config = cfg.sim_config()
         symbols = np.zeros(5, dtype=complex)
         symbols[2] = 1.0
-        wave = np.abs(pulse_shape(symbols, config))
+        wave = np.abs(pulse_shape(symbols, simulate._SymbolRatePulse.of(config)))
         center = 2 * 8 + 4
         assert np.argmax(wave) == center
         np.testing.assert_allclose(wave[center - 4:center], wave[center + 4:center:-1],
@@ -108,7 +108,7 @@ class TestPulseShaping:
         slews = []
         for bt in (0.3, 1.0):
             cfg.gaussian_bt = bt
-            wave = pulse_shape(symbols, cfg.sim_config())
+            wave = pulse_shape(symbols, simulate._SymbolRatePulse.of(cfg.sim_config()))
             slews.append(np.max(np.abs(np.diff(wave))))
         assert slews[0] < slews[1]
 
@@ -243,6 +243,35 @@ class TestRunLinkSim:
         assert result.n_bit_errors == 0
         assert result.rx_evm_pct < 0.1
         assert result.tx_evm_pct < 0.1
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_clouds_are_block_zeros_first_instants(self, monkeypatch, threads):
+        """A 3-block thermal run: both clouds are block 0's first 4,096
+        instants, TX behind the TX chain and RX behind the RX chain, each
+        divided by that block's gain estimate."""
+        monkeypatch.setenv("QAMLINK_THREADS", threads)
+        n0 = simulate._SYMBOLS_PER_BLOCK
+        config = load_config(str(PAPER_CFG)).sim_config(n_bits=8 * (2 * n0 + 1000))
+        result = run_link_sim(config)
+        ctx = simulate._build_context(config)
+        assert len(simulate._block_sizes(ctx.n_symbols)) == 3
+        _, symbols, tx = simulate._tx_block(config, ctx, 0, n0, full_rate=False)
+        ref = symbols[ctx.guard_symbols:ctx.guard_symbols + n0]
+        rx = simulate.chain_transfer(tx * ctx.path_amplitude, ctx.rx_chain,
+                                     ctx.bandwidth_hz,
+                                     noise_generator(config.seed, simulate._STREAM_RX),
+                                     simulate._channel_noise_var_w(config))
+        for cloud, wave in ((result.tx_constellation, tx), (result.rx_constellation, rx)):
+            gain, _ = simulate._gain_and_error(wave, ref, simulate._energy(ref))
+            assert cloud.shape == (4096,)
+            np.testing.assert_allclose(cloud, wave[:4096] / gain, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_short_run_clouds_hold_every_symbol(self, monkeypatch, threads):
+        monkeypatch.setenv("QAMLINK_THREADS", threads)
+        result = run_link_sim(load_config(str(PAPER_CFG)).sim_config(n_bits=800))
+        assert result.tx_constellation.shape == (100,)
+        assert result.rx_constellation.shape == (100,)
 
     def test_qpsk_awgn_matches_theory(self):
         """Calibrated AWGN at 7 dB: BER within a small factor of the
@@ -670,7 +699,7 @@ class TestSymbolRateBlocks:
         for n_sym in (1, 7, 1000):
             symbols = ctx.cmap.points[rng.integers(0, 256, n_sym + 2 * ctx.guard_symbols)]
             oracle = held_pulse_oracle(symbols, config)
-            full = pulse_shape(symbols, config)
+            full = pulse_shape(symbols, simulate._SymbolRatePulse.of(config))
             # the bank sums in another order than the full-rate convolution
             np.testing.assert_allclose(full, oracle, rtol=0,
                                        atol=1e-12 * np.max(np.abs(oracle)))
@@ -696,7 +725,7 @@ class TestSymbolRateBlocks:
         pulse = simulate._SymbolRatePulse.of(config)
         rng = np.random.default_rng(seed)
         symbols = rng.standard_normal(n_sym) + 1j * rng.standard_normal(n_sym)
-        whole = pulse_shape(symbols, config)
+        whole = pulse_shape(symbols, simulate._SymbolRatePulse.of(config))
         n = whole.size
         # short spans, and spans within a filter length of either end
         start = data.draw(st.just(0) | st.integers(0, n - 1)
@@ -705,7 +734,8 @@ class TestSymbolRateBlocks:
                          | st.integers(start + 1, min(n, start + 64)), label="stop")
         np.testing.assert_array_equal(pulse_shape(symbols, pulse, start, stop),
                                       whole[start:stop])
-        np.testing.assert_array_equal(pulse_shape(symbols, config, start, stop),
+        np.testing.assert_array_equal(pulse_shape(symbols, simulate._SymbolRatePulse.of(config),
+                                                  start, stop),
                                       whole[start:stop])
 
     def test_paper_pulse_is_a_three_tap_fir(self):
