@@ -37,6 +37,8 @@ TX_CONSTELLATION_CSV_NAME = "tx_constellation.csv"
 RX_CONSTELLATION_CSV_NAME = "rx_constellation.csv"
 WATERFALL_CSV_NAME = "waterfall.csv"
 
+_MAX_SWEEP_POINTS = 1001
+
 
 class _UsageError(Exception):
     pass
@@ -172,7 +174,10 @@ def cmd_ber_sweep(args) -> int:
         raise ConfigError(f"--step must be > 0, got {args.step}")
     if args.stop_db < args.start_db:
         raise ConfigError("--to must be >= --from")
-    n_points = math.floor((args.stop_db - args.start_db) / args.step + 1e-9) + 1
+    span = (args.stop_db - args.start_db) / args.step + 1e-9  # inf past the float range
+    if span >= _MAX_SWEEP_POINTS:
+        raise ConfigError(f"--from, --to and --step give more than {_MAX_SWEEP_POINTS} points")
+    n_points = math.floor(span) + 1
     ebn0_values = [args.start_db + i * args.step for i in range(n_points)]
     theory = [theoretical_ber(cfg.modulation_order, ebn0) for ebn0 in ebn0_values]
 

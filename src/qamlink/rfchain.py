@@ -19,10 +19,6 @@ _COMPRESSION_1DB = 1.0 - 10.0 ** (-1.0 / 20.0)
 # quoted constant and the waveform model agree to within 0.04 dB.
 OIP3_OVER_P1DB_DB = 10.6
 
-# Samples per chunk of chain_transfer: a run's temporaries stay a few MB
-# however long the input.
-_CHUNK_SAMPLES = 1 << 15
-
 
 @dataclass(frozen=True)
 class StageSpec:
@@ -170,22 +166,18 @@ def chain_transfer(x, chain: ChainSpec, bandwidth_hz: float,
     just before the next compressing stage or at the chain output: the
     output has the same distribution as with a draw after every stage.
 
-    Every stage is elementwise, so a run is applied ``_CHUNK_SAMPLES`` at a
-    time, in place; the chunks of a run draw its noise in turn, and
-    consecutive draws from one generator equal one whole draw. A complex128
+    Each run is applied once over the whole input, in place: a complex128
     input is overwritten and returned; any other input is converted first.
     """
     y = np.asarray(x, dtype=np.complex128)
     for gain, noise_w, stage in _folded_runs(chain, bandwidth_hz, rng is not None,
                                              input_noise_watts):
-        for start in range(0, y.size, _CHUNK_SAMPLES):
-            seg = y[start:start + _CHUNK_SAMPLES]
-            if gain != 1.0:
-                seg *= gain
-            if noise_w > 0.0:
-                seg += complex_noise(rng, seg.size, noise_w)
-            if stage is not None:
-                seg[...] = amplifier_transfer(seg, stage)
+        if gain != 1.0:
+            y *= gain
+        if noise_w > 0.0:
+            y += complex_noise(rng, y.size, noise_w)
+        if stage is not None:
+            y[...] = amplifier_transfer(y, stage)
     return y
 
 

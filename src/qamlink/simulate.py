@@ -66,6 +66,8 @@ _MAX_CLOUD_POINTS = 4096
 _PSD_TARGET_SAMPLES = 1 << 20
 _PSD_SEGMENT_SAMPLES = 512
 _WELCH_PIECE_SEGMENTS = 128  # half a Welch chunk sum
+_MAX_PULSE_SPAN_SYMBOLS = 64  # a Gaussian pulse's +/-4 sigma: 4 sqrt(ln 2) / (pi BT)
+_MIN_GAUSSIAN_BT = 4.0 * math.sqrt(math.log(2.0)) / (math.pi * _MAX_PULSE_SPAN_SYMBOLS)
 
 # per-block RNG substreams
 _STREAMS_PER_BLOCK = 4
@@ -106,10 +108,10 @@ class SimConfig:
         if self.pulse_shape not in PULSE_SHAPES:
             raise ValueError(
                 f"unknown pulse shape {self.pulse_shape!r}; expected one of {PULSE_SHAPES}")
-        for name in ("gaussian_bt", "evm_threshold_pct"):
+        for name, low in (("gaussian_bt", _MIN_GAUSSIAN_BT), ("evm_threshold_pct", 0.0)):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
+            if not (math.isfinite(value) and value > low):
+                raise ValueError(f"{name} must be finite and > {low:.4g}, got {value}")
         if self.calibration_ebn0_db is not None:
             if not math.isfinite(self.calibration_ebn0_db):
                 raise ValueError(
@@ -477,17 +479,16 @@ def _gain_and_error(measured: np.ndarray, reference: np.ndarray,
 
 
 def _tx_block(config: SimConfig, ctx: _Context, block: int, n_sym: int, *,
-              full_rate: bool, reduce: Callable[[Callable], Any] | None = None):
+              reduce: Callable[[Callable], Any] | None = None):
     """Symbol labels, mapped symbols, and post-chain waveform for one block.
 
-    The waveform is full rate with guards on both ends, or else only its
-    n_sym symbol instants, one phase of the pulse shaper's filter bank: every
-    later TX stage is memoryless with white noise, which only the instants
-    draw. Either way the drive is normalised on the full-rate pulse's mean
-    power between the guards, in closed form. Given ``reduce``, a full-rate
-    block is never held whole: reduce(piece) stands for the waveform, whose
-    samples [start, stop) are piece(start, stop).
-    """
+    The waveform is its n_sym symbol instants, one phase of the pulse
+    shaper's filter bank: every later TX stage is memoryless with white
+    noise, which only the instants draw. Given ``reduce``, it is reduce(piece)
+    of the noise-free full-rate waveform with guards, whose samples
+    [start, stop) are piece(start, stop), all by default. Either way the
+    drive is normalised on the full-rate pulse's mean power between the
+    guards, in closed form."""
     base = block * _STREAMS_PER_BLOCK
     bits_rng = noise_generator(config.seed, base + _STREAM_BITS)
     # a uniform byte is the cheapest draw; every order is a power of two
@@ -497,11 +498,11 @@ def _tx_block(config: SimConfig, ctx: _Context, block: int, n_sym: int, *,
     scale = math.sqrt(ctx.input_power_w / ctx.pulse.mean_power(symbols, ctx.guard_symbols))
 
     def transmit(start: int = 0, stop: int | None = None) -> np.ndarray:
-        wave = (pulse_shape(symbols, ctx.pulse, start, stop) if full_rate
+        wave = (pulse_shape(symbols, ctx.pulse, start, stop) if reduce
                 else ctx.pulse.at_instants(symbols, ctx.guard_symbols, n_sym))
         wave *= scale
         tx_rng = (noise_generator(config.seed, base + _STREAM_TX)
-                  if ctx.noise_mode == "thermal" and not full_rate else None)
+                  if ctx.noise_mode == "thermal" and not reduce else None)
         return chain_transfer(wave, ctx.tx_chain, ctx.bandwidth_hz, tx_rng)
 
     return labels, symbols, reduce(transmit) if reduce else transmit()
@@ -520,7 +521,7 @@ def _simulate_block(config: SimConfig, ctx: _Context, block: int, n_sym: int,
     # the clouds are block 0's first instants: a block holds more than a cloud
     cloud_take = _MAX_CLOUD_POINTS if block == 0 else 0
 
-    labels, symbols, tx_samples = _tx_block(config, ctx, block, n_sym, full_rate=False)
+    labels, symbols, tx_samples = _tx_block(config, ctx, block, n_sym)
     ref = symbols[guard:guard + n_sym]
     ref_labels = labels[guard:guard + n_sym]
     ref_energy = _energy(ref)
@@ -670,7 +671,7 @@ def window_plan(config: SimConfig) -> Plan:
 
     def job(block: int) -> tuple[float, list[np.ndarray], np.ndarray, np.ndarray]:
         stop = first + min(sizes[block] * ctx.sps, n_window - block * block_samples)
-        return _tx_block(config, ctx, block, sizes[block], full_rate=True,
+        return _tx_block(config, ctx, block, sizes[block],
                          reduce=lambda p: _welch_pieces(p, first, stop, segment_len))[2]
 
     def finish(blocks: list) -> tuple[np.ndarray, float, float, float]:

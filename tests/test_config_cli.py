@@ -114,6 +114,18 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=r"rx_chain.1: .*noise figure must be >= 0 dB"):
             parse_config_text(text, source="cfg")
 
+    def test_gaussian_pulse_span_bounds_bt(self):
+        """The +/-4 sigma pulse spans 4 sqrt(ln 2) / (pi BT) symbols at any
+        samples_per_symbol; past 64 symbols the file is rejected naming the
+        key, and the usual BT 0.3-1.0 at 2-16 samples per symbol loads."""
+        for bt in ("1e-9", "1e-300", "5e-324", "0.0165"):
+            with pytest.raises(ConfigError, match=r"^cfg: gaussian_bt must be finite and > 0\.01656"):
+                parse_config_text(f"gaussian_bt = {bt}\n", source="cfg")
+        for bt in (0.0166, 0.3, 0.5, 1.0):
+            for sps in (2, 3, 8, 16):
+                text = f"gaussian_bt = {bt}\nsamples_per_symbol = {sps}\n"
+                assert parse_config_text(text, source="cfg").gaussian_bt == bt
+
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="cannot read config"):
             load_config("/nonexistent/path.cfg")
@@ -383,6 +395,29 @@ class TestBerSweepCommand:
         assert code == 1
         assert err.count("\n") == 1 and f"{flag} must be finite" in err
 
+    @pytest.mark.parametrize("theory_only", [[], ["--theory-only"]])
+    @pytest.mark.parametrize("span", [["--to=10", "--step=1e-300"],
+                                      ["--from=-1e308", "--to=1e308"],
+                                      ["--to=1001", "--step=1"]])
+    def test_oversized_sweep_rejected_before_any_point(self, tmp_path, capsys,
+                                                       monkeypatch, theory_only, span):
+        """A sweep of more than 1,001 points exits 1 with one line before its
+        Eb/N0 list is built; 1e-300 dB steps used to grow the list until
+        memory ran out. The span from -1e308 to 1e308 overflows to inf."""
+        monkeypatch.setattr(cli, "theoretical_ber", None)  # no point is reached
+        code = cli.main(["ber-sweep", "--config", str(QPSK_CFG), "--from=0", *span,
+                         *theory_only, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "error: --from, --to and --step give more than 1001 points\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_sweep_of_the_point_cap_runs(self, tmp_path):
+        code = cli.main(["ber-sweep", "--theory-only", "--from", "0", "--to", "100",
+                         "--step", "0.1", "--out", str(tmp_path)])
+        assert code == 0
+        assert len((tmp_path / "waterfall.csv").read_text().splitlines()) == 1 + 1001
+
     def test_unsupported_modulation_rejected(self, tmp_path, capsys):
         code = cli.main(["ber-sweep", "--modulation", "8", "--from", "0", "--to", "1",
                          "--theory-only", "--out", str(tmp_path)])
@@ -447,6 +482,9 @@ class TestErrorLines:
     @pytest.mark.parametrize("line", [
         "gaussian_bt = -1", "samples_per_symbol = 1", "evm_threshold_pct = 0",
         "n_bits = 7", "pulse_shape = square",
+        # a Gaussian pulse longer than 64 symbols; simulate used to fail on the
+        # taps' size, naming neither file nor key, and 5e-324 made sigma inf
+        "gaussian_bt = 1e-9", "gaussian_bt = 1e-300", "gaussian_bt = 5e-324",
         # lambda / (4 pi d) overflows to inf; it used to run to BER 0.5 and
         # 0% RX EVM, and budget to an inf dBm sensitivity
         "frequency_hz = 1e-300", "distance_m = 5e-324"])
@@ -508,11 +546,10 @@ class TestUsage:
         assert cli.main([*argv, "--out", str(out)]) == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("line", ["gaussian_bt = 1e-9",
-                                      "samples_per_symbol = 1000000000"])
+    @pytest.mark.parametrize("line", ["samples_per_symbol = 1000000000"])
     def test_allocation_failure_exits_1_with_one_line(self, tmp_path, capsys,
                                                        monkeypatch, line):
-        """Under a 3 GB address-space limit both configs used to end in a
+        """Under a 3 GB address-space limit this config used to end in a
         numpy _ArrayMemoryError traceback: the Gaussian taps alone need tens
         of GiB. The failing allocation is stubbed here, not made."""
         from qamlink import simulate

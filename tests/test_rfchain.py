@@ -373,11 +373,12 @@ def whole_array_chain(x, chain, bandwidth_hz, rng, input_noise_watts):
 
 
 class TestChunkedChain:
-    """chain_transfer works a chunk at a time, in place; its output must
-    equal the whole-array fold bit for bit, noise draws included."""
+    """chain_transfer works in place; its output must equal the whole-array
+    fold bit for bit, noise draws included, at sizes around 32,768 samples,
+    a Monte-Carlo block's instants."""
 
     BW = 250e6
-    C = rfchain._CHUNK_SAMPLES
+    C = 32768
 
     # drives that push the PA and the LNA well into compression
     CHAINS = {"tx": (lambda cfg: cfg.tx_stages, 0.0, 0.0),

@@ -255,7 +255,7 @@ class TestRunLinkSim:
         result = run_link_sim(config)
         ctx = simulate._build_context(config)
         assert len(simulate._block_sizes(ctx.n_symbols)) == 3
-        _, symbols, tx = simulate._tx_block(config, ctx, 0, n0, full_rate=False)
+        _, symbols, tx = simulate._tx_block(config, ctx, 0, n0)
         ref = symbols[ctx.guard_symbols:ctx.guard_symbols + n0]
         rx = simulate.chain_transfer(tx * ctx.path_amplitude, ctx.rx_chain,
                                      ctx.bandwidth_hz,
@@ -466,21 +466,35 @@ class TestRunLinkSim:
         assert peak < threads * block_bytes
         assert current < psd.nbytes + 65536
 
-    def test_full_rate_tx_block_works_in_chunks(self):
-        """A window block's numpy peak stays under 2x the waveform it
-        returns: the pulse shaper's output, which the chain transforms in
-        place, and chunk-sized temporaries. A chain writing a second output
-        array peaks at over 2.5x, one working on whole arrays at over 5x."""
-        config = load_config(str(PAPER_CFG)).sim_config(n_bits=1_048_576)
-        ctx = simulate._build_context(config)
-        tracemalloc.start()
-        try:
-            _, _, wave = simulate._tx_block(config, ctx, 0, simulate._SYMBOLS_PER_BLOCK,
-                                            full_rate=True)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * wave.nbytes
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_window_pieces_bound_every_chain_call(self, monkeypatch, tmp_path, threads):
+        """The window pieces are the one bound on the full-rate path: the
+        1 M-sample spectrum of paper.cfg runs its one compressing TX stage
+        once per piece, 32 times, and no chain call of simulate or spectrum
+        takes more than a piece, 128 segments of 256 new samples plus the
+        256 that overlap the next piece."""
+        real_amplifier, real_chain = rfchain.amplifier_transfer, simulate.chain_transfer
+        passes, sizes = [], []
+
+        def amplifier_transfer(x, spec):
+            passes.append(x.size)
+            return real_amplifier(x, spec)
+
+        def chain_transfer(x, *args):
+            sizes.append(x.size)
+            return real_chain(x, *args)
+
+        monkeypatch.setattr(rfchain, "amplifier_transfer", amplifier_transfer)
+        monkeypatch.setattr(simulate, "chain_transfer", chain_transfer)
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("QAMLINK_THREADS", threads)
+        common = ["--config", str(PAPER_CFG), "--bits", "1048576", "--seed", "3",
+                  "--out", str(tmp_path)]
+        assert cli.main(["spectrum", *common]) == 0
+        assert len(passes) == 32
+        assert cli.main(["simulate", *common]) == 0
+        assert len(sizes) == 32 + 32 + 4 * 2  # window pieces, then 4 blocks' TX and RX
+        assert max(sizes) == 128 * 256 + 256 == 33_024
 
     @pytest.mark.parametrize("order", SUPPORTED_ORDERS)
     def test_labels_are_uniform_masked_bytes(self, order):
@@ -492,8 +506,7 @@ class TestRunLinkSim:
         ctx = simulate._build_context(config)
         labels = []
         for block in range(8):
-            drawn = simulate._tx_block(config, ctx, block, simulate._SYMBOLS_PER_BLOCK,
-                                       full_rate=False)[0]
+            drawn = simulate._tx_block(config, ctx, block, simulate._SYMBOLS_PER_BLOCK)[0]
             stream = block * simulate._STREAMS_PER_BLOCK + simulate._STREAM_BITS
             draw = noise_generator(11, stream).integers(0, 256, drawn.size, dtype=np.uint8)
             np.testing.assert_array_equal(drawn, draw & (order - 1))
@@ -661,13 +674,18 @@ def window_pieces(ctx):
                for block, n_sym in enumerate(window_blocks(ctx)))
 
 
+def full_rate_block(config, ctx, block, n_sym):
+    """A block's whole noise-free full-rate TX waveform, guards included."""
+    return simulate._tx_block(config, ctx, block, n_sym, reduce=lambda piece: piece())[2]
+
+
 def assembled_window(config):
     """The spectrum window as one array: each window block's full-rate
     samples between its guards, in block order, cut to the window."""
     ctx = simulate._build_context(config)
     first = ctx.guard_symbols * ctx.sps
-    parts = [simulate._tx_block(config, ctx, block, n_sym, full_rate=True)[2][
-        first:first + n_sym * ctx.sps] for block, n_sym in enumerate(window_blocks(ctx))]
+    parts = [full_rate_block(config, ctx, block, n_sym)[first:first + n_sym * ctx.sps]
+             for block, n_sym in enumerate(window_blocks(ctx))]
     return np.concatenate(parts)[:simulate._PSD_TARGET_SAMPLES]
 
 
@@ -680,8 +698,8 @@ class TestSymbolRateBlocks:
                                                         noise_enabled=False)
         ctx = simulate._build_context(config)
         n_sym = 10_000
-        _, _, full = simulate._tx_block(config, ctx, 5, n_sym, full_rate=True)
-        _, _, at_instants = simulate._tx_block(config, ctx, 5, n_sym, full_rate=False)
+        full = full_rate_block(config, ctx, 5, n_sym)
+        _, _, at_instants = simulate._tx_block(config, ctx, 5, n_sym)
         assert at_instants.size == n_sym
         np.testing.assert_array_equal(at_instants, block_instants(full, ctx, n_sym))
 
@@ -816,8 +834,7 @@ class TestSymbolRateBlocks:
         assert len(sizes) == n_window < len(simulate._block_sizes(ctx.n_symbols))
         instants = wave[ctx.sps // 2::ctx.sps]
         for block, n_sym in enumerate(sizes):
-            _, _, at_instants = simulate._tx_block(config, ctx, block, n_sym,
-                                                   full_rate=False)
+            _, _, at_instants = simulate._tx_block(config, ctx, block, n_sym)
             first = block * simulate._SYMBOLS_PER_BLOCK
             np.testing.assert_array_equal(instants[first:first + n_sym], at_instants)
 
@@ -852,9 +869,9 @@ def drawn_window(monkeypatch, config):
     local = threading.local()
     real_tx, real_chain = simulate._tx_block, simulate.chain_transfer
 
-    def tx_block(config, ctx, block, n_sym, *, full_rate):
+    def tx_block(config, ctx, block, n_sym, *, reduce=None):
         local.block = block
-        return real_tx(config, ctx, block, n_sym, full_rate=full_rate)
+        return real_tx(config, ctx, block, n_sym, reduce=reduce)
 
     def chain_transfer(x, chain, bandwidth_hz=None, rng=None, input_noise_watts=0.0):
         assert rng is None
@@ -960,16 +977,15 @@ class TestOnePool:
         def pool_of_this_thread():
             pools.add(threading.current_thread().name.rpartition("_")[0])
 
-        def tx_block(config, ctx, block, n_sym, *, full_rate, reduce=None):
-            if not full_rate:
-                return real_tx(config, ctx, block, n_sym, full_rate=full_rate)
+        def tx_block(config, ctx, block, n_sym, *, reduce=None):
+            if reduce is None:
+                return real_tx(config, ctx, block, n_sym)
             pool_of_this_thread()
             running.add(block)
             try:
                 if block == 3:
                     started.wait(timeout=10)
-                return real_tx(config, ctx, block, n_sym, full_rate=full_rate,
-                               reduce=reduce)
+                return real_tx(config, ctx, block, n_sym, reduce=reduce)
             finally:
                 running.discard(block)
 
