@@ -143,7 +143,7 @@ def cmd_simulate(args) -> int:
         noise_enabled=not args.no_noise,
         pa_linear=args.linear_pa,
     )
-    (psd, sample_rate, tx_power_dbm, _), [result] = run_plans(
+    (psd, sample_rate, tx_power_dbm), [result] = run_plans(
         [window_plan(config), link_sim_plan(config)])
     lines = _sim_report_lines(config, result, tx_power_dbm, sample_rate)
     _write_psd_csv(os.path.join(cfg.output_dir, PSD_CSV_NAME), psd)
@@ -207,7 +207,7 @@ def cmd_spectrum(args) -> int:
         noise_enabled=not args.no_noise,
         pa_linear=args.linear_pa,
     )
-    psd, sample_rate, _, _ = transmit_waveform(config)
+    psd, sample_rate, _ = transmit_waveform(config)
     _write_psd_csv(os.path.join(cfg.output_dir, PSD_CSV_NAME), psd)
     print(f"wrote {psd.shape[0]} PSD bins at {sample_rate:.0f} Hz sample rate "
           f"to {os.path.join(cfg.output_dir, PSD_CSV_NAME)}")

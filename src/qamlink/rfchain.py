@@ -73,29 +73,26 @@ class ChainSpec:
 class CascadeResult:
     total_gain_db: GainDb
     total_nf_db: float
-    per_stage_cumulative: tuple[tuple[GainDb, float], ...]
 
 
 def cascade(chain: ChainSpec) -> CascadeResult:
-    """Friis cascade of gain and noise figure, prefix by prefix.
+    """Friis cascade of gain and noise figure, without compression.
 
-    F = F1 + (F2-1)/G1 + (F3-1)/(G1*G2) + ... with noise factors and gains
-    in linear units; gains accumulate by summing dB.
+    F = 1 + N_out / (kTB G): the stages' own noise referred to the output by
+    the walk the chains draw with, which is F = F1 + (F2-1)/G1 + ... in linear
+    units; gains accumulate by summing dB.
     """
-    cumulative: list[tuple[float, float]] = []
-    gain_db_sum = 0.0
-    gain_product = 1.0
-    f_total = 1.0
-    for i, stage in enumerate(chain.stages):
-        f_stage = db_to_linear(stage.nf_db)
-        if i == 0:
-            f_total = f_stage
-        else:
-            f_total += (f_stage - 1.0) / gain_product
-        gain_db_sum += stage.gain_db
-        gain_product *= db_to_linear(stage.gain_db)
-        cumulative.append((gain_db_sum, 10.0 * math.log10(f_total)))
-    return CascadeResult(cumulative[-1][0], cumulative[-1][1], tuple(cumulative))
+    gain_db = sum(stage.gain_db for stage in chain.stages)
+    ktb_w = dbm_to_watts(noise_floor(1.0, 0.0))  # over 1 Hz: the bandwidth cancels
+    f_total = 1.0 + output_noise_watts(chain, 1.0) / (ktb_w * db_to_linear(gain_db))
+    return CascadeResult(gain_db, 10.0 * math.log10(f_total))
+
+
+def output_noise_watts(chain: ChainSpec, bandwidth_hz: float) -> float:
+    """Noise the stages add over the bandwidth, each stage's kTB(F-1)G carried
+    to the output through the small-signal gains behind it."""
+    [(_, noise_w, _)] = _folded_runs(chain.linearized(), bandwidth_hz, True, 0.0)
+    return noise_w
 
 
 def oip3_from_p1db(p1db_out_dbm: PowerDbm) -> PowerDbm:

@@ -43,8 +43,7 @@ from typing import Any
 
 import numpy as np
 
-from .channel import (complex_noise, friis_received_power, noise_floor, noise_generator,
-                      path_gain_db)
+from .channel import complex_noise, noise_floor, noise_generator, path_gain_db
 from .linkbudget import LinkScenario
 from .modem import (
     ConstellationMap,
@@ -52,7 +51,7 @@ from .modem import (
     demap_hard,
     map_bits,
 )
-from .rfchain import ChainSpec, StageSpec, cascade, chain_transfer, stage_added_noise_watts
+from .rfchain import ChainSpec, chain_transfer, output_noise_watts
 from .units import dbm_to_watts, watts_to_dbm
 
 Z_95 = NormalDist().inv_cdf(0.975)
@@ -113,9 +112,14 @@ class SimConfig:
             if not (math.isfinite(value) and value > low):
                 raise ValueError(f"{name} must be finite and > {low:.4g}, got {value}")
         if self.calibration_ebn0_db is not None:
-            if not math.isfinite(self.calibration_ebn0_db):
+            try:
+                noise_var_w = _channel_noise_var_w(self)
+            except (OverflowError, ZeroDivisionError):  # 10^(Es/N0/10) beyond the floats
+                noise_var_w = math.nan
+            if not 0.0 < noise_var_w < math.inf:
                 raise ValueError(
-                    f"calibration Eb/N0 must be finite, got {self.calibration_ebn0_db}")
+                    "calibration Eb/N0 must be finite and give a finite channel noise "
+                    f"variance > 0, got {self.calibration_ebn0_db}")
             if not self.noise_enabled:
                 raise ValueError("calibration Eb/N0 has no effect with noise disabled")
 
@@ -412,11 +416,6 @@ def _build_context(config: SimConfig) -> _Context:
 
     # average drive power: the small-signal chain output is the transmit power
     drive_dbm = scenario.tx_power_dbm - sum(s.gain_db for s in tx_chain.stages)
-    bw = scenario.bandwidth_hz
-    with warnings.catch_warnings():
-        # the budget path surfaces the near-field advisory; not once per run here
-        warnings.simplefilter("ignore")
-        path_db = path_gain_db(scenario.channel)
     noise_mode = ("ebn0" if config.calibration_ebn0_db is not None
                   else "thermal" if config.noise_enabled else "off")
 
@@ -426,14 +425,21 @@ def _build_context(config: SimConfig) -> _Context:
         guard_symbols=guard,
         n_symbols=n_symbols,
         sample_rate_hz=sps * scenario.symbol_rate_hz,
-        bandwidth_hz=bw,
+        bandwidth_hz=scenario.bandwidth_hz,
         pulse=pulse,
         tx_chain=tx_chain,
         rx_chain=rx_chain,
         input_power_w=dbm_to_watts(drive_dbm),
-        path_amplitude=10.0 ** (path_db / 20.0),
+        path_amplitude=10.0 ** (_path_db(scenario) / 20.0),
         noise_mode=noise_mode,
     )
+
+
+def _path_db(scenario: LinkScenario) -> float:
+    """path_gain_db of the scenario: antenna gains plus free-space spreading."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the budget surfaces the near-field advisory
+        return path_gain_db(scenario.channel)
 
 
 def _channel_noise_var_w(config: SimConfig) -> float:
@@ -441,11 +447,9 @@ def _channel_noise_var_w(config: SimConfig) -> float:
     scenario = config.scenario
     if config.calibration_ebn0_db is None:
         return dbm_to_watts(noise_floor(scenario.bandwidth_hz, 0.0))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the budget path surfaces the advisory
-        rx_power_dbm = friis_received_power(scenario.tx_power_dbm, scenario.channel)
     # Es/N0 against the budget's received power, small-signal TX output
     esn0_db = config.calibration_ebn0_db + 10.0 * math.log10(scenario.bits_per_symbol)
+    rx_power_dbm = scenario.tx_power_dbm + _path_db(scenario)
     return dbm_to_watts(rx_power_dbm) / 10.0 ** (esn0_db / 10.0)
 
 
@@ -654,15 +658,13 @@ def window_plan(config: SimConfig) -> Plan:
     Welch chunk sums of the segments starting there, counted from its first
     segment (with an even samples_per_symbol, estimate_spectrum's bits).
     No noise is drawn: the TX chain's white noise, independent of the signal,
-    enters power and density as its expectation, the cascade's kTB(F - 1)G
-    (Jeruchim, Balaban & Shanmugan, *Simulation of Communication Systems*).
+    enters power and density as its expectation, the small-signal output noise
+    of the chain's folded walk, the cascade's kTB(F - 1)G (Jeruchim, Balaban &
+    Shanmugan, *Simulation of Communication Systems*).
     """
     ctx = _build_context(config)
-    noise_var_w = 0.0
-    if ctx.noise_mode == "thermal":
-        tx = cascade(ctx.tx_chain)
-        noise_var_w = stage_added_noise_watts(
-            StageSpec("tx chain", tx.total_gain_db, tx.total_nf_db), ctx.bandwidth_hz)
+    noise_var_w = (output_noise_watts(ctx.tx_chain, ctx.bandwidth_hz)
+                   if ctx.noise_mode == "thermal" else 0.0)
     n_window = min(ctx.n_symbols * ctx.sps, _PSD_TARGET_SAMPLES)
     segment_len = _segment_len(n_window)
     block_samples = _SYMBOLS_PER_BLOCK * ctx.sps
@@ -674,7 +676,7 @@ def window_plan(config: SimConfig) -> Plan:
         return _tx_block(config, ctx, block, sizes[block],
                          reduce=lambda p: _welch_pieces(p, first, stop, segment_len))[2]
 
-    def finish(blocks: list) -> tuple[np.ndarray, float, float, float]:
+    def finish(blocks: list) -> tuple[np.ndarray, float, float]:
         for (_, sums, _, tail), (_, _, head, _) in zip(blocks, blocks[1:]):
             if tail.size + head.size == segment_len:  # the straddling segment is whole
                 joined = np.concatenate([tail, head])
@@ -683,15 +685,15 @@ def window_plan(config: SimConfig) -> Plan:
                                  ctx.sample_rate_hz, segment_len)
         power_w = sum(power for power, _, _, _ in blocks) / n_window + noise_var_w
         psd = _relative_db(*density, ctx.sample_rate_hz, noise_var_w)
-        return psd, ctx.sample_rate_hz, watts_to_dbm(power_w), noise_var_w
+        return psd, ctx.sample_rate_hz, watts_to_dbm(power_w)
 
     return Plan(len(sizes), job, finish)
 
 
-def transmit_waveform(config: SimConfig) -> tuple[np.ndarray, float, float, float]:
+def transmit_waveform(config: SimConfig) -> tuple[np.ndarray, float, float]:
     """The spectrum of the transmitted waveform (never held whole) as
-    estimate_spectrum's pairs, its sample rate, its mean power in dBm, and the
-    TX chain's white-noise variance, included in both. The blocks and label
-    streams are run_link_sim's, up to a 1 M-sample window.
+    estimate_spectrum's pairs, its sample rate and its mean power in dBm,
+    both with the TX chain's white noise. The blocks and label streams are
+    run_link_sim's, up to a 1 M-sample window.
     """
     return next(run_plans([window_plan(config)]))

@@ -217,7 +217,7 @@ def test_criterion_8_property_suites(monkeypatch):
     for threads in ("1", "2", "5"):
         monkeypatch.setenv("QAMLINK_THREADS", threads)
         result = run_link_sim(config)
-        psd, _, tx_power_dbm, _ = transmit_waveform(config)
+        psd, _, tx_power_dbm = transmit_waveform(config)
         fingerprint = (result.measured_ber, result.tx_evm_pct, result.rx_evm_pct,
                        psd.tobytes(), tx_power_dbm,
                        result.rx_constellation.tobytes())

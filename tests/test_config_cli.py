@@ -302,6 +302,20 @@ class TestSimulateCommand:
         assert code == 1
         assert err.count("\n") == 1 and "Eb/N0 must be finite" in err
 
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--ebn0", "-4000"],
+        ["ber-sweep", "--from", "-4000", "--to", "-4000"],
+        ["simulate", "--ebn0", "4000"]])
+    def test_ebn0_past_the_float_range_rejected(self, tmp_path, capsys, command):
+        """10^(Es/N0/10) underflowing to 0 used to end in a ZeroDivisionError
+        traceback, and overflowing in '(34, 'Numerical result out of range')'."""
+        code = cli.main([*command, "--config", str(QPSK_CFG), "--bits", "8000",
+                         "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "channel noise variance" in err and f"got {float(command[2])}" in err
+
     def test_output_files_use_dot_decimal_and_trailing_newline(self, tmp_path):
         cli.main(["simulate", "--config", str(QPSK_CFG), "--bits", "10000",
                   "--out", str(tmp_path)])

@@ -72,19 +72,15 @@ class TestCascade:
         assert result.total_nf_db == pytest.approx(5.964488277002962, abs=1e-9)
         assert result.total_gain_db == pytest.approx(17.0, abs=1e-12)
 
-    def test_cumulative_entries(self):
-        result = cascade(BOM_RX)
-        assert len(result.per_stage_cumulative) == 3
-        assert result.per_stage_cumulative[-1] == (result.total_gain_db,
-                                                   result.total_nf_db)
-        assert result.per_stage_cumulative[0][1] == pytest.approx(3.0, abs=1e-12)
-
     def test_matches_brute_force_on_random_chains(self):
+        """About a third of the stages compress; the Friis figure ignores it."""
         rng = np.random.default_rng(23)
         for _ in range(100):
             stages = tuple(
                 StageSpec(f"s{i}", gain_db=float(rng.uniform(-10, 30)),
-                          nf_db=float(rng.uniform(0, 12)))
+                          nf_db=float(rng.uniform(0, 12)),
+                          p1db_out_dbm=float(rng.uniform(-10, 40))
+                          if rng.random() < 1 / 3 else None)
                 for i in range(rng.integers(2, 6)))
             got = cascade(ChainSpec(stages))
             nf, gain = brute_force_cascade(stages)

@@ -49,6 +49,11 @@ def calibration_config(order=4, ebn0_db=7.0, n_bits=200_000, seed=1, **overrides
     return cfg.sim_config(calibration_ebn0_db=ebn0_db, pa_linear=True)
 
 
+def tx_noise_var_w(config):
+    """The TX chain's white-noise variance in a thermal run's spectrum window."""
+    return rfchain.output_noise_watts(config.tx_chain, config.scenario.bandwidth_hz)
+
+
 class TestWilsonInterval:
     def test_contains_point_estimate(self):
         for k, n in ((0, 100), (5, 1000), (999, 1000), (1, 7)):
@@ -308,7 +313,7 @@ class TestRunLinkSim:
         assert result.tx_constellation.size <= 4096
         assert result.rx_constellation.size <= 4096
         assert result.n_bits_run == 200_000
-        psd, fs, _, _ = transmit_waveform(cfg.sim_config())
+        psd, fs, _ = transmit_waveform(cfg.sim_config())
         assert psd[0, 0] == pytest.approx(-fs / 2, rel=1e-9)
         assert psd[-1, 0] < fs / 2
 
@@ -402,6 +407,7 @@ class TestRunLinkSim:
         assert cfg.samples_per_symbol == sps
         config = cfg.sim_config(n_bits=n_bits)
         window = assembled_window(config)
+        noise_var_w = tx_noise_var_w(config)
         real = simulate._tx_block
         monkeypatch.setattr(simulate.os, "cpu_count", lambda: 4)
         interval = sys.getswitchinterval()
@@ -416,7 +422,7 @@ class TestRunLinkSim:
 
                 monkeypatch.setattr(simulate, "_tx_block", counting)
                 monkeypatch.setenv("QAMLINK_THREADS", threads)
-                psd, fs, power_dbm, noise_var_w = transmit_waveform(config)
+                psd, fs, power_dbm = transmit_waveform(config)
                 assert sorted(calls) == list(range(n_window)), threads
                 assert fs == sps * config.scenario.symbol_rate_hz
                 np.testing.assert_array_equal(psd, estimate_spectrum(window, fs, noise_var_w))
@@ -439,11 +445,11 @@ class TestRunLinkSim:
         psds = []
         for threads in ("1", "2", "4"):
             monkeypatch.setenv("QAMLINK_THREADS", threads)
-            psd, fs, _, noise_var_w = transmit_waveform(config)
+            psd, fs, _ = transmit_waveform(config)
             psds.append(psd)
         for psd in psds[1:]:
             np.testing.assert_array_equal(psd, psds[0])
-        expected = estimate_spectrum(assembled_window(config), fs, noise_var_w)
+        expected = estimate_spectrum(assembled_window(config), fs, tx_noise_var_w(config))
         np.testing.assert_allclose(psds[0], expected, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -457,6 +463,10 @@ class TestRunLinkSim:
         block_bytes = simulate._SYMBOLS_PER_BLOCK * config.samples_per_symbol * 16
         monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
         monkeypatch.setenv("QAMLINK_THREADS", str(threads))
+        # numpy imports these on first use; loaded inside the trace, their
+        # modules would count as held memory when the test runs alone
+        import numpy.fft  # noqa: F401
+        import numpy.random  # noqa: F401
         tracemalloc.start()
         try:
             psd = transmit_waveform(config)[0]
@@ -890,15 +900,16 @@ class TestWindowNoiseExpectation:
     its power and its Welch density as their expectations."""
 
     def test_noise_variance_is_the_tx_cascade_output_noise(self):
-        """kTB(F - 1)G from the Friis cascade, which equals the chain's folded
-        runs composed through the PA's small-signal gain."""
+        """The chain's small-signal output noise is kTB(F - 1)G from the Friis
+        cascade, and equals the chain's folded runs composed through the PA's
+        small-signal gain."""
         config = load_config(str(PAPER_CFG)).sim_config(n_bits=80_000)
         ctx = simulate._build_context(config)
         tx = cascade(ctx.tx_chain)
         ktb = 10.0 ** ((THERMAL_NOISE_DBM_PER_HZ - 30.0) / 10.0) * ctx.bandwidth_hz
         expected = ktb * (10.0 ** (tx.total_nf_db / 10.0) - 1.0) * 10.0 ** (
             tx.total_gain_db / 10.0)
-        noise_var_w = transmit_waveform(config)[3]
+        noise_var_w = rfchain.output_noise_watts(ctx.tx_chain, ctx.bandwidth_hz)
         assert noise_var_w == pytest.approx(expected, rel=1e-12, abs=0)
         assert noise_var_w == pytest.approx(2.4201e-8, rel=1e-4)
         folded = 0.0
@@ -916,7 +927,8 @@ class TestWindowNoiseExpectation:
         term the far band reads 0.2-0.5 dB low."""
         for seed in (41, 42, 43, 44):
             config = load_config(str(PAPER_CFG)).sim_config(n_bits=1_048_576, seed=seed)
-            expected, fs, power_dbm, noise_var_w = transmit_waveform(config)
+            expected, fs, power_dbm = transmit_waveform(config)
+            noise_var_w = tx_noise_var_w(config)
             drawn = drawn_window(monkeypatch, config)
             drawn_power_w = np.mean(np.abs(drawn) ** 2)
             reference = estimate_spectrum(drawn, fs)
@@ -940,16 +952,14 @@ class TestWindowNoiseExpectation:
         bits, seed = 300_000, 6
         config = load_config(str(PAPER_CFG)).sim_config(n_bits=bits, seed=seed)
         wave = assembled_window(config)
-        _, fs, _, noise_var_w = transmit_waveform(config)
-        assert noise_var_w > 0.0
+        fs = transmit_waveform(config)[1]
+        assert tx_noise_var_w(config) > 0.0
         welch = estimate_spectrum(wave, fs)
         for options in ({"noise_enabled": False}, {"calibration_ebn0_db": 20.0}):
             quiet_config = load_config(str(PAPER_CFG)).sim_config(n_bits=bits, seed=seed,
                                                                   **options)
             np.testing.assert_array_equal(assembled_window(quiet_config), wave)
-            quiet_psd, _, _, quiet_var = transmit_waveform(quiet_config)
-            np.testing.assert_array_equal(quiet_psd, welch)
-            assert quiet_var == 0.0
+            np.testing.assert_array_equal(transmit_waveform(quiet_config)[0], welch)
         cli._write_psd_csv(str(tmp_path / "welch.csv"), welch)
         expected = (tmp_path / "welch.csv").read_bytes()
         common = ["--config", str(PAPER_CFG), "--bits", str(bits), "--seed", str(seed)]
