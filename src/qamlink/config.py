@@ -194,6 +194,7 @@ def parse_config_text(text: str, source: str = "<string>") -> RunConfig:
             given.setdefault("name", f"{side}_stage_{index}")
             try:
                 stages.append(StageSpec(**given))
+                ChainSpec(tuple(stages))  # the chain's rules, up to this stage
             except ValueError as exc:
                 raise ConfigError(f"{source}: {side}_chain.{index}: {exc}") from exc
         setattr(cfg, f"{side}_stages", stages)

@@ -100,22 +100,36 @@ def demap_hard(symbols, cmap: ConstellationMap) -> np.ndarray:
     # both axes in one pass over the contiguous (re, im) float pairs
     axes = _nearest_axis_label(
         np.ascontiguousarray(symbols).reshape(-1).view(np.float64), cmap)
+    # each (I, Q) label pair read as one little-endian word, I in its low byte
+    pairs = axes.view("<u2")
     half = cmap.bits_per_symbol // 2
-    return ((axes[0::2] << half) | axes[1::2]).reshape(symbols.shape)
+    labels = ((pairs << half) & (0xFF << half)) | (pairs >> 8)
+    return labels.astype(np.uint8).reshape(symbols.shape)
 
 
 def theoretical_ber(order: int, ebn0_db):
-    """Gray-coded square-QAM bit error probability (nearest-neighbour form).
+    """Gray-coded square-QAM bit error probability on the AWGN channel, exact
+    (K. Cho & D. Yoon, IEEE Trans. Commun. 50(7), 2002).
 
-    P_b = (4/N) (1 - 1/sqrt(M)) Q(sqrt(3N/(M-1) * Eb/N0)). Accepts a scalar
-    or an array of Eb/N0 values in dB; the result is capped at 0.5.
+    With m = log2(sqrt(M)) bits per axis and x = sqrt(3 log2(M) Eb/N0 / (2 (M - 1))),
+    P_b = 1/(m sqrt(M)) sum over k = 1..m and i < (1 - 2^-k) sqrt(M) of
+    (-1)^floor(i 2^(k-1) / sqrt(M)) (2^(k-1) - floor(i 2^(k-1) / sqrt(M) + 1/2))
+    erfc((2i + 1) x), the weights of each erfc summed over k first. Accepts a
+    scalar or an array of Eb/N0 values in dB; the result is capped at 0.5.
     """
     if order not in SUPPORTED_ORDERS:
         raise ValueError(f"unsupported QAM order {order}; expected one of {SUPPORTED_ORDERS}")
-    n = math.log2(order)
+    side = math.isqrt(order)
+    m = side.bit_length() - 1
+    weights = np.zeros(side - 1)
+    for k in range(1, m + 1):
+        for i in range(side - (side >> k)):
+            weights[i] += (-1) ** ((i << (k - 1)) // side) * (
+                (1 << (k - 1)) - ((i << k) + side) // (2 * side))
     gamma_b = 10.0 ** (np.asarray(ebn0_db, dtype=float) / 10.0)
-    q = 0.5 * _erfc(np.sqrt(1.5 * n / (order - 1) * gamma_b))
-    ber = np.minimum((4.0 / n) * (1.0 - 1.0 / math.sqrt(order)) * q, 0.5)
+    x = np.sqrt(1.5 * math.log2(order) / (order - 1) * gamma_b)
+    terms = _erfc(np.multiply.outer(x, np.arange(1.0, 2.0 * side - 2.0, 2.0)))
+    ber = np.minimum(np.sum(terms * weights, axis=-1) / (m * side), 0.5)
     return float(ber) if np.isscalar(ebn0_db) else ber
 
 

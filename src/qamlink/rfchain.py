@@ -19,6 +19,11 @@ _COMPRESSION_1DB = 1.0 - 10.0 ** (-1.0 / 20.0)
 # quoted constant and the waveform model agree to within 0.04 dB.
 OIP3_OVER_P1DB_DB = 10.6
 
+# Bound on a noise figure and on the gain from a chain's input through each
+# stage: a power factor of 1e50 keeps the cascade's kTB(F-1)G terms (kTB is
+# 4e-21 W per Hz) and the simulator's sums far inside the float range.
+MAX_GAIN_DB = 500.0
+
 
 @dataclass(frozen=True)
 class StageSpec:
@@ -32,8 +37,9 @@ class StageSpec:
     def __post_init__(self):
         if not math.isfinite(self.gain_db):
             raise ValueError(f"stage {self.name!r}: gain must be finite")
-        if not math.isfinite(self.nf_db) or self.nf_db < 0.0:
-            raise ValueError(f"stage {self.name!r}: noise figure must be >= 0 dB")
+        if not 0.0 <= self.nf_db <= MAX_GAIN_DB:  # false for nan
+            raise ValueError(f"stage {self.name!r}: noise figure must be >= 0 dB and "
+                             f"<= {MAX_GAIN_DB:g} dB, got {self.nf_db}")
         if self.p1db_out_dbm is not None and not math.isfinite(self.p1db_out_dbm):
             raise ValueError(f"stage {self.name!r}: P1dB must be finite")
 
@@ -64,6 +70,13 @@ class ChainSpec:
         object.__setattr__(self, "stages", tuple(self.stages))
         if not self.stages:
             raise ValueError("chain must contain at least one stage")
+        gain_db = 0.0
+        for stage in self.stages:
+            gain_db += stage.gain_db
+            if abs(gain_db) > MAX_GAIN_DB:
+                raise ValueError(
+                    f"stage {stage.name!r}: gain_db summed from the chain input through "
+                    f"this stage is {gain_db:g} dB, outside +-{MAX_GAIN_DB:g} dB")
 
     def linearized(self) -> "ChainSpec":
         return ChainSpec(tuple(s.linearized() for s in self.stages))

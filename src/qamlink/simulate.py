@@ -26,7 +26,8 @@ share its workers with no barrier between them. One Monte-Carlo plan serves
 every Eb/N0 point of a sweep: each block makes its labels, TX samples and
 unit channel noise once and runs each point's noise scale, RX chain and
 demap on them (common random numbers), so every point is its own run at the
-same seed, bit for bit.
+same seed, bit for bit; through a linear RX chain a point's gain and EVM
+come from five block sums.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .modem import (
     demap_hard,
     map_bits,
 )
-from .rfchain import ChainSpec, chain_transfer, output_noise_watts
+from .rfchain import ChainSpec, _folded_runs, chain_transfer, output_noise_watts
 from .units import dbm_to_watts, watts_to_dbm
 
 Z_95 = NormalDist().inv_cdf(0.975)
@@ -384,6 +385,9 @@ class _Context:
     # "thermal": kTB channel noise plus stage noise, both drawn by the chains
     # "ebn0":    calibrated AWGN only   "off": no noise anywhere
     noise_mode: str
+    # under calibrated AWGN, an RX chain with no compressing stage is one
+    # voltage gain, applied in closed form; None runs the chain itself
+    rx_gain: float | None
 
 
 @dataclass
@@ -418,6 +422,8 @@ def _build_context(config: SimConfig) -> _Context:
     drive_dbm = scenario.tx_power_dbm - sum(s.gain_db for s in tx_chain.stages)
     noise_mode = ("ebn0" if config.calibration_ebn0_db is not None
                   else "thermal" if config.noise_enabled else "off")
+    # the gain chain_transfer multiplies by: the chain's one noiseless run
+    rx_runs = list(_folded_runs(rx_chain, scenario.bandwidth_hz, False, 0.0))
 
     return _Context(
         cmap=cmap,
@@ -432,6 +438,7 @@ def _build_context(config: SimConfig) -> _Context:
         input_power_w=dbm_to_watts(drive_dbm),
         path_amplitude=10.0 ** (_path_db(scenario) / 20.0),
         noise_mode=noise_mode,
+        rx_gain=rx_runs[0][0] if noise_mode == "ebn0" and len(rx_runs) == 1 else None,
     )
 
 
@@ -460,23 +467,28 @@ def _energy(x: np.ndarray) -> float:
     return np.sum(squares)
 
 
-def _gain_and_error(measured: np.ndarray, reference: np.ndarray,
-                    reference_energy: float) -> tuple[complex, float]:
-    """The data-aided complex gain estimate of measured against reference,
-    and the EVM error energy min_a sum |a * measured - reference|**2.
-
-    Both come from c = sum(conj(reference) * measured). The gain is
-    c / reference_energy: projecting onto the known reference makes it
-    unbiased under additive noise, unlike the EVM-minimizing scalar, which
-    shrinks by 1/(1 + 1/SNR) and would skew the outer decision regions. A
-    silent signal has gain 1, so dividing by the gain is always defined. The
-    error energy is reference_energy - |c|**2 / sum |measured|**2, so bulk
-    gain and phase are not error; it is clamped at 0 against rounding.
-    """
+def _power_and_projection(measured: np.ndarray, reference: np.ndarray) -> tuple[float, complex]:
+    """sum |measured|**2 and c = sum(conj(reference) * measured), the power
+    first, so that its temporaries are gone before the product is made."""
     power = _energy(measured)
     product = np.conj(reference)
     product *= measured
-    c = np.sum(product)
+    return power, np.sum(product)
+
+
+def _gain_and_error(power: float, c: complex,
+                    reference_energy: float) -> tuple[complex, float]:
+    """The data-aided complex gain estimate of a measured signal against a
+    reference, and the EVM error energy min_a sum |a * measured - reference|**2,
+    from the measured power and projection c of _power_and_projection.
+
+    The gain is c / reference_energy: projecting onto the known reference
+    makes it unbiased under additive noise, unlike the EVM-minimizing scalar,
+    which shrinks by 1/(1 + 1/SNR) and would skew the outer decision regions.
+    A silent signal has gain 1, so dividing by the gain is always defined. The
+    error energy is reference_energy - |c|**2 / power, so bulk gain and phase
+    are not error; it is clamped at 0 against rounding.
+    """
     error = max(0.0, reference_energy - abs(c) ** 2 / power) if power else reference_energy
     gain = c / reference_energy
     return (gain if gain != 0.0 else 1.0), float(error)
@@ -518,7 +530,15 @@ def _simulate_block(config: SimConfig, ctx: _Context, block: int, n_sym: int,
 
     The labels, the TX samples and the unit channel noise are made once and
     serve every point (common random numbers): each point's statistics are
-    bit for bit those of a block run at that variance alone.
+    those of a block run at that variance alone, the same code bit for bit.
+
+    Under calibrated AWGN through a linear RX chain of voltage gain g, a
+    point's RX samples are g (t + s u): the faded TX samples t plus its noise
+    scale s = sqrt(variance / 2) times the unit noise u. Its power is
+    g^2 (E_tt + 2 s R_tu + s^2 E_uu) and its projection on the reference
+    g (C_t + s C_u), from the block sums E_tt = sum |t|**2, E_uu = sum |u|**2,
+    R_tu = Re sum conj(t) u, C_t = sum conj(ref) t and C_u = sum conj(ref) u;
+    its gain-normalised samples are (s u + t) g / gain.
     """
     guard = ctx.guard_symbols
     base = block * _STREAMS_PER_BLOCK
@@ -529,7 +549,8 @@ def _simulate_block(config: SimConfig, ctx: _Context, block: int, n_sym: int,
     ref = symbols[guard:guard + n_sym]
     ref_labels = labels[guard:guard + n_sym]
     ref_energy = _energy(ref)
-    tx_gain, tx_err_energy = _gain_and_error(tx_samples, ref, ref_energy)
+    tx_power, tx_c = _power_and_projection(tx_samples, ref)
+    tx_gain, tx_err_energy = _gain_and_error(tx_power, tx_c, ref_energy)
     tx_cloud = tx_samples[:cloud_take] / tx_gain
 
     # every stage after the pulse shaper is memoryless and every noise draw
@@ -545,18 +566,31 @@ def _simulate_block(config: SimConfig, ctx: _Context, block: int, n_sym: int,
         chan_rng = noise_generator(config.seed, base + _STREAM_CHANNEL)
         unit = complex_noise(chan_rng, n_sym, 2.0)  # N(0, 1) per axis, scaled by 1.0
         rx_buffer = np.empty_like(unit) if len(noise_vars) > 1 else unit
+    g = ctx.rx_gain
+    if g is not None:
+        a = ctx.path_amplitude  # t is the TX samples times a: their sums, scaled
+        e_tt, c_t = a * a * tx_power, a * tx_c
+        e_uu, c_u = _power_and_projection(unit, ref)
+        r_tu = _real_dot(tx_samples, unit)
     points = []
     for noise_var_w in noise_vars:
         rx_samples = tx_samples  # thermal and noise-off runs have one point
         if ctx.noise_mode == "ebn0":
             # the point's noise plus the faded TX samples: addition commutes,
             # so bit for bit the faded samples plus noise drawn at its variance
-            rx_samples = np.multiply(unit, math.sqrt(noise_var_w / 2.0), out=rx_buffer)
+            s = math.sqrt(noise_var_w / 2.0)
+            rx_samples = np.multiply(unit, s, out=rx_buffer)
             rx_samples += tx_samples
-        rx_samples = chain_transfer(rx_samples, ctx.rx_chain, ctx.bandwidth_hz, rx_rng,
-                                    noise_var_w)
-        rx_gain, rx_err_energy = _gain_and_error(rx_samples, ref, ref_energy)
-        rx_samples *= 1.0 / rx_gain
+        if g is None:
+            rx_samples = chain_transfer(rx_samples, ctx.rx_chain, ctx.bandwidth_hz, rx_rng,
+                                        noise_var_w)
+            rx_gain, rx_err_energy = _gain_and_error(
+                *_power_and_projection(rx_samples, ref), ref_energy)
+            rx_samples *= 1.0 / rx_gain
+        else:
+            rx_gain, rx_err_energy = _gain_and_error(
+                g * g * (e_tt + s * (2.0 * r_tu + s * e_uu)), g * (c_t + s * c_u), ref_energy)
+            rx_samples *= g / rx_gain
         rx_labels = demap_hard(rx_samples, ctx.cmap)
         n_errors = int(np.bitwise_count(rx_labels ^ ref_labels).sum())
         points.append((n_errors, rx_err_energy, rx_samples[:cloud_take].copy()))

@@ -521,6 +521,48 @@ class TestErrorLines:
             assert err.count("\n") == 1 and err.startswith(f"error: {path}: "), err
             assert not out.exists()
 
+    @pytest.mark.parametrize("gains,key", [
+        # budget exited 1 with "(34, 'Numerical result out of range')"
+        (("2000", "2000"), "rx_chain.1"),
+        # budget ended in a ZeroDivisionError traceback in cascade
+        (("-2000", "-2000"), "rx_chain.1"),
+        # each stage in range, the LNA's output 600 dB above the chain input
+        (("300", "300"), "rx_chain.2"),
+    ])
+    def test_overflowing_stage_gains_fail_every_command_when_read(
+            self, tmp_path, capsys, gains, key):
+        """paper.cfg with the derived noise figure and the RX filter and LNA
+        gains set far outside any chain: every command exits 1 with one line
+        naming the file and the stage's gain_db key."""
+        text = PAPER_CFG.read_text().replace(
+            "rx_nf_override_db = 6.24", "rx_nf_override_db = none")
+        for index, gain in zip((1, 2), gains):
+            text, n = re.subn(rf"^rx_chain\.{index}\.gain_db = .*$",
+                              f"rx_chain.{index}.gain_db = {gain}", text, flags=re.M)
+            assert n == 1
+        path = tmp_path / "gains.cfg"
+        path.write_text(text)
+        for argv in (["budget"], ["simulate", "--bits", "8000"], ["spectrum", "--bits", "8000"],
+                     ["ber-sweep", "--from", "0", "--to", "1", "--bits", "8000"]):
+            code = cli.main([*argv, "--config", str(path), "--out", str(tmp_path / "out")])
+            err = capsys.readouterr().err
+            assert code == 1, argv
+            assert err.count("\n") == 1 and err.startswith(f"error: {path}: {key}: "), err
+            assert "gain_db" in err
+
+    def test_noise_figure_beyond_the_float_safe_range_is_rejected(self, tmp_path, capsys):
+        """A 4000 dB noise figure overflowed 10^(NF/10): simulate exited 1
+        with "(34, 'Numerical result out of range')", naming no file."""
+        path = tmp_path / "nf.cfg"
+        path.write_text(PAPER_CFG.read_text().replace("rx_chain.3.nf_db = 10.9",
+                                                      "rx_chain.3.nf_db = 4000"))
+        code = cli.main(["simulate", "--bits", "8000", "--config", str(path),
+                         "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith(f"error: {path}: rx_chain.3: ")
+        assert "noise figure" in err
+
     @pytest.mark.parametrize("argv", [
         ["budget"], ["simulate", "--bits", "8000"], ["spectrum", "--bits", "8000"],
         ["ber-sweep", "--from", "0", "--to", "1", "--bits", "8000"]])

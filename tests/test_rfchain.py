@@ -8,6 +8,7 @@ from qamlink.channel import complex_noise, noise_floor, noise_generator
 from qamlink import rfchain
 from qamlink.config import default_rx_stages, default_tx_stages, load_config
 from qamlink.rfchain import (
+    MAX_GAIN_DB,
     ChainSpec,
     StageSpec,
     amplifier_transfer,
@@ -58,6 +59,28 @@ class TestStageSpec:
     def test_empty_chain_rejected(self):
         with pytest.raises(ValueError):
             ChainSpec(())
+
+    def test_gain_through_every_stage_is_bounded(self):
+        """The gain from the chain input through each stage lies within
+        +-MAX_GAIN_DB, where the cascade stays finite and nonzero; the BOM
+        chains sit far inside it."""
+        assert MAX_GAIN_DB == 500.0
+        for gains in ((500.0,), (-500.0,), (400.0, 100.0, -1000.0), (-250.0, 750.0)):
+            chain = ChainSpec(tuple(StageSpec(f"s{i}", g, 1.0) for i, g in enumerate(gains)))
+            result = cascade(chain)
+            assert math.isfinite(result.total_nf_db) and result.total_nf_db > 0.0
+        for gains, bad in (((500.5,), "s0"), ((-400.0, -100.5), "s1"),
+                           ((400.0, 101.0, -10.0), "s1")):
+            with pytest.raises(ValueError, match=f"stage '{bad}': gain_db summed"):
+                ChainSpec(tuple(StageSpec(f"s{i}", g, 1.0) for i, g in enumerate(gains)))
+        ChainSpec(tuple(default_rx_stages()))
+        ChainSpec(tuple(default_tx_stages()))
+
+    @pytest.mark.parametrize("nf_db", [500.5, math.inf, math.nan])
+    def test_rejects_noise_figure_beyond_bound(self, nf_db):
+        with pytest.raises(ValueError, match="noise figure must be >= 0 dB"):
+            StageSpec("bad", gain_db=10.0, nf_db=nf_db)
+        assert StageSpec("ok", gain_db=10.0, nf_db=500.0).nf_db == 500.0
 
 
 class TestCascade:
