@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .units import GainDb, PowerDbm, THERMAL_NOISE_DBM_PER_HZ, wavelength
+from .units import THERMAL_NOISE_DBM_PER_HZ, GainDb, PowerDbm, check_db, wavelength
 
 # Below this many wavelengths the far-field model is dubious; flagged, not fatal.
 NEAR_FIELD_WAVELENGTHS = 10.0
@@ -30,13 +29,15 @@ class ChannelSpec:
                      "rx_antenna_gain_db"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.frequency_hz <= 0.0:
-            raise ValueError(f"frequency must be > 0 Hz, got {self.frequency_hz}")
+        f = self.frequency_hz
+        check_db("10 log10(frequency_hz)", 10.0 * math.log10(f) if f > 0.0 else -math.inf)
         if self.distance_m <= 0.0:
             raise ValueError(f"distance must be > 0 m, got {self.distance_m}")
-        if not 0.0 < self.spreading < math.inf:
-            raise ValueError(
-                f"free-space gain lambda/(4 pi d) must be finite and > 0, got {self.spreading}")
+        spreading = self.spreading
+        check_db("the free-space gain 20 log10(lambda / (4 pi distance_m)) at frequency_hz",
+                 20.0 * math.log10(spreading) if spreading > 0.0 else -math.inf)
+        check_db("tx_antenna_gain_db", self.tx_antenna_gain_db)
+        check_db("rx_antenna_gain_db", self.rx_antenna_gain_db)
 
     @property
     def spreading(self) -> float:
@@ -46,13 +47,6 @@ class ChannelSpec:
 
 def path_gain_db(spec: ChannelSpec) -> GainDb:
     """Antenna gains plus free-space spreading, 20*log10(lambda / (4 pi d))."""
-    d = spec.distance_m
-    lam = wavelength(spec.frequency_hz)
-    if d < NEAR_FIELD_WAVELENGTHS * lam:
-        warnings.warn(
-            f"distance {d:.4g} m is below {NEAR_FIELD_WAVELENGTHS:g} wavelengths "
-            "at this frequency; the far-field model is optimistic here",
-            stacklevel=2)
     antenna_gain = spec.tx_antenna_gain_db + spec.rx_antenna_gain_db
     return antenna_gain + 20.0 * math.log10(spec.spreading)
 

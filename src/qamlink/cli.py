@@ -8,6 +8,7 @@ out of compliance (the budget report is still written).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -47,6 +48,14 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(f"{self.prog}: {message}")
+
+
+def _finite(raw: str) -> float:
+    """The type of every float flag, so that argparse names the flag of a bad value."""
+    with contextlib.suppress(ValueError):
+        if math.isfinite(value := float(raw)):
+            return value
+    raise argparse.ArgumentTypeError(f"must be a finite number, got {raw!r}")
 
 
 def _write_lines(path: str, lines: list[str]) -> None:
@@ -166,10 +175,6 @@ def cmd_ber_sweep(args) -> int:
     cfg = _load(args)
     if args.modulation is not None:
         cfg.modulation_order = args.modulation
-    for flag, value in (("--from", args.start_db), ("--to", args.stop_db),
-                        ("--step", args.step)):
-        if not math.isfinite(value):
-            raise ConfigError(f"{flag} must be finite, got {value}")
     if args.step <= 0:
         raise ConfigError(f"--step must be > 0, got {args.step}")
     if args.stop_db < args.start_db:
@@ -219,7 +224,7 @@ def _add_common(parser: _Parser, *, bits: bool = True, tx_power: bool = True) ->
     parser.add_argument("--out", metavar="DIR", help="output directory")
     parser.add_argument("--seed", type=int, metavar="N", help="RNG seed")
     if tx_power:
-        parser.add_argument("--tx-power", type=float, metavar="DBM",
+        parser.add_argument("--tx-power", type=_finite, metavar="DBM",
                             help="override transmit power")
     if bits:
         parser.add_argument("--bits", type=int, metavar="N",
@@ -238,7 +243,7 @@ def build_parser() -> _Parser:
     p_sim = sub.add_parser("simulate", help="Monte-Carlo link simulation")
     _add_common(p_sim)
     noise = p_sim.add_mutually_exclusive_group()
-    noise.add_argument("--ebn0", type=float, metavar="DB",
+    noise.add_argument("--ebn0", type=_finite, metavar="DB",
                        help="calibrated AWGN at this Eb/N0 instead of the link noise budget")
     noise.add_argument("--no-noise", action="store_true", help="disable all noise")
     p_sim.add_argument("--linear-pa", action="store_true",
@@ -253,11 +258,11 @@ def build_parser() -> _Parser:
     _add_common(p_sweep, tx_power=False)
     p_sweep.add_argument("--modulation", type=int, choices=SUPPORTED_ORDERS,
                          metavar="M", help="QAM order (default: from config)")
-    p_sweep.add_argument("--from", dest="start_db", type=float, required=True,
+    p_sweep.add_argument("--from", dest="start_db", type=_finite, required=True,
                          metavar="DB", help="first Eb/N0 in dB")
-    p_sweep.add_argument("--to", dest="stop_db", type=float, required=True,
+    p_sweep.add_argument("--to", dest="stop_db", type=_finite, required=True,
                          metavar="DB", help="last Eb/N0 in dB")
-    p_sweep.add_argument("--step", type=float, default=1.0, metavar="DB")
+    p_sweep.add_argument("--step", type=_finite, default=1.0, metavar="DB")
     p_sweep.add_argument("--theory-only", action="store_true",
                          help="skip the Monte-Carlo runs")
     p_sweep.set_defaults(func=cmd_ber_sweep)

@@ -4,12 +4,13 @@ link margin, and transmit-power compliance, rolled into one report."""
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
-from .channel import ChannelSpec, friis_received_power, noise_floor
+from .channel import NEAR_FIELD_WAVELENGTHS, ChannelSpec, friis_received_power, noise_floor
 from .modem import SUPPORTED_ORDERS, ebn0_for_ber
 from .rfchain import ChainSpec, cascade
-from .units import PowerDbm, db_to_linear, wavelength
+from .units import PowerDbm, check_db, wavelength
 
 # 5 GHz unlicensed-band transmit limit, 250 mW quoted as 23.98 dBm (the exact
 # conversion is 23.9794 dBm; the quoted figure is kept so a 23.98 dBm
@@ -31,16 +32,17 @@ class LinkScenario:
     rx_nf_override_db: float | None
 
     def __post_init__(self):
-        if self.bit_rate_bps <= 0.0:
-            raise ValueError(f"bit rate must be > 0, got {self.bit_rate_bps}")
+        rate = self.bit_rate_bps
+        check_db("10 log10(bit_rate_bps)", 10.0 * math.log10(rate) if rate > 0.0 else -math.inf)
         if self.modulation_order not in SUPPORTED_ORDERS:
             raise ValueError(
                 f"unsupported modulation order {self.modulation_order}; "
                 f"expected one of {SUPPORTED_ORDERS}")
         if not 0.0 < self.target_ber < 0.5:
             raise ValueError(f"target BER must be in (0, 0.5), got {self.target_ber}")
-        if not math.isfinite(self.tx_power_dbm):
-            raise ValueError(f"transmit power must be finite, got {self.tx_power_dbm}")
+        check_db("tx_power_dbm", self.tx_power_dbm, unit="dBm")
+        check_db("ebn0_override_db", self.ebn0_override_db)
+        check_db("rx_nf_override_db", self.rx_nf_override_db, low=0.0)
 
     @property
     def bandwidth_hz(self) -> float:
@@ -96,7 +98,7 @@ def max_distance(p_tx_dbm: PowerDbm, p_rx_min_dbm: PowerDbm,
     """Largest range at which free-space propagation still delivers p_rx_min.
 
     Inverts the Friis equation including antenna gains:
-    d = (lambda / 4 pi) * sqrt(G_tx * G_rx * P_tx / P_rx).
+    d = (lambda / 4 pi) * sqrt(G_tx G_rx P_tx / P_rx) = (lambda / 4 pi) * 10^(budget_db / 20).
     """
     budget_db = (p_tx_dbm + chan.tx_antenna_gain_db + chan.rx_antenna_gain_db
                  - p_rx_min_dbm)
@@ -104,8 +106,7 @@ def max_distance(p_tx_dbm: PowerDbm, p_rx_min_dbm: PowerDbm,
         raise ValueError(
             f"required receive power {p_rx_min_dbm} dBm exceeds the "
             f"{p_tx_dbm} dBm transmitter plus antenna gains")
-    lam = wavelength(chan.frequency_hz)
-    return lam / (4.0 * math.pi) * math.sqrt(db_to_linear(budget_db))
+    return wavelength(chan.frequency_hz) / (4.0 * math.pi) * 10.0 ** (budget_db / 20.0)
 
 
 def fcc_check(p_tx_dbm: PowerDbm) -> bool:
@@ -121,6 +122,7 @@ def analyze(scenario: LinkScenario) -> LinkBudgetReport:
     scenario distance -> margin -> range -> compliance. ``max_distance_m``
     inverts Friis at the delivered receive power (so it reproduces the
     scenario distance); the sensitivity-limited range is reported separately.
+    A distance under NEAR_FIELD_WAVELENGTHS wavelengths is flagged with a warning.
     """
     bw = scenario.bandwidth_hz
     if scenario.ebn0_override_db is not None:
@@ -133,6 +135,10 @@ def analyze(scenario: LinkScenario) -> LinkBudgetReport:
     else:
         nf = cascade(scenario.rx_chain).total_nf_db
     sens = sensitivity(nf, bw, snr)
+    d = scenario.channel.distance_m
+    if d < NEAR_FIELD_WAVELENGTHS * wavelength(scenario.channel.frequency_hz):
+        warnings.warn(f"distance {d:.4g} m is below {NEAR_FIELD_WAVELENGTHS:g} wavelengths at "
+                      "this frequency; the far-field model is optimistic here", stacklevel=2)
     p_rx = friis_received_power(scenario.tx_power_dbm, scenario.channel)
     return LinkBudgetReport(
         bit_rate_bps=scenario.bit_rate_bps,

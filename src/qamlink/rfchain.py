@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import complex_noise, noise_floor
-from .units import GainDb, PowerDbm, db_to_linear, dbm_to_watts
+from .units import MAX_GAIN_DB, GainDb, PowerDbm, check_db, db_to_linear, dbm_to_watts
 
 # Fractional gain drop at the 1 dB compression point: 1 - 10^(-1/20).
 _COMPRESSION_1DB = 1.0 - 10.0 ** (-1.0 / 20.0)
@@ -18,11 +18,6 @@ _COMPRESSION_1DB = 1.0 - 10.0 ** (-1.0 / 20.0)
 # here. The third-order envelope polynomial below implies 10.64 dB, so the
 # quoted constant and the waveform model agree to within 0.04 dB.
 OIP3_OVER_P1DB_DB = 10.6
-
-# Bound on a noise figure and on the gain from a chain's input through each
-# stage: a power factor of 1e50 keeps the cascade's kTB(F-1)G terms (kTB is
-# 4e-21 W per Hz) and the simulator's sums far inside the float range.
-MAX_GAIN_DB = 500.0
 
 
 @dataclass(frozen=True)
@@ -37,11 +32,8 @@ class StageSpec:
     def __post_init__(self):
         if not math.isfinite(self.gain_db):
             raise ValueError(f"stage {self.name!r}: gain must be finite")
-        if not 0.0 <= self.nf_db <= MAX_GAIN_DB:  # false for nan
-            raise ValueError(f"stage {self.name!r}: noise figure must be >= 0 dB and "
-                             f"<= {MAX_GAIN_DB:g} dB, got {self.nf_db}")
-        if self.p1db_out_dbm is not None and not math.isfinite(self.p1db_out_dbm):
-            raise ValueError(f"stage {self.name!r}: P1dB must be finite")
+        check_db(f"stage {self.name!r}: noise figure", self.nf_db, low=0.0)
+        check_db(f"stage {self.name!r}: p1db_out_dbm", self.p1db_out_dbm, unit="dBm")
 
     @property
     def is_nonlinear(self) -> bool:
@@ -104,7 +96,7 @@ def cascade(chain: ChainSpec) -> CascadeResult:
 def output_noise_watts(chain: ChainSpec, bandwidth_hz: float) -> float:
     """Noise the stages add over the bandwidth, each stage's kTB(F-1)G carried
     to the output through the small-signal gains behind it."""
-    [(_, noise_w, _)] = _folded_runs(chain.linearized(), bandwidth_hz, True, 0.0)
+    [(_, noise_w, _)] = _folded_runs(chain.linearized(), bandwidth_hz, 0.0)
     return noise_w
 
 
@@ -180,23 +172,21 @@ def chain_transfer(x, chain: ChainSpec, bandwidth_hz: float,
     input is overwritten and returned; any other input is converted first.
     """
     y = np.asarray(x, dtype=np.complex128)
-    for gain, noise_w, stage in _folded_runs(chain, bandwidth_hz, rng is not None,
-                                             input_noise_watts):
+    for gain, noise_w, stage in _folded_runs(chain, bandwidth_hz, input_noise_watts):
         if gain != 1.0:
             y *= gain
-        if noise_w > 0.0:
+        if rng is not None and noise_w > 0.0:
             y += complex_noise(rng, y.size, noise_w)
         if stage is not None:
             y[...] = amplifier_transfer(y, stage)
     return y
 
 
-def _folded_runs(chain: ChainSpec, bandwidth_hz: float, noisy: bool,
-                 input_noise_watts: float):
+def _folded_runs(chain: ChainSpec, bandwidth_hz: float, input_noise_watts: float):
     """(voltage gain, output-referred noise variance, compressing stage or
     None) of each run: its folded linear stages, then the stage ending it."""
     gain = 1.0
-    noise_w = input_noise_watts if noisy else 0.0
+    noise_w = input_noise_watts
     for stage in chain.stages:
         if stage.is_nonlinear:
             yield gain, noise_w, stage
@@ -205,6 +195,5 @@ def _folded_runs(chain: ChainSpec, bandwidth_hz: float, noisy: bool,
             g = 10.0 ** (stage.gain_db / 20.0)
             gain *= g
             noise_w *= g * g
-        if noisy:
-            noise_w += stage_added_noise_watts(stage, bandwidth_hz)
+        noise_w += stage_added_noise_watts(stage, bandwidth_hz)
     yield gain, noise_w, None

@@ -44,7 +44,8 @@ from typing import Any
 
 import numpy as np
 
-from .channel import complex_noise, noise_floor, noise_generator, path_gain_db
+from .channel import (complex_noise, friis_received_power, noise_floor, noise_generator,
+                      path_gain_db)
 from .linkbudget import LinkScenario
 from .modem import (
     ConstellationMap,
@@ -52,7 +53,7 @@ from .modem import (
     demap_hard,
     map_bits,
 )
-from .rfchain import ChainSpec, _folded_runs, chain_transfer, output_noise_watts
+from .rfchain import ChainSpec, chain_transfer, output_noise_watts
 from .units import dbm_to_watts, watts_to_dbm
 
 Z_95 = NormalDist().inv_cdf(0.975)
@@ -107,7 +108,7 @@ class SimConfig:
                 f"samples_per_symbol must be >= 2, got {self.samples_per_symbol}")
         if self.pulse_shape not in PULSE_SHAPES:
             raise ValueError(
-                f"unknown pulse shape {self.pulse_shape!r}; expected one of {PULSE_SHAPES}")
+                f"unknown pulse_shape {self.pulse_shape!r}; expected one of {PULSE_SHAPES}")
         for name, low in (("gaussian_bt", _MIN_GAUSSIAN_BT), ("evm_threshold_pct", 0.0)):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > low):
@@ -385,9 +386,9 @@ class _Context:
     # "thermal": kTB channel noise plus stage noise, both drawn by the chains
     # "ebn0":    calibrated AWGN only   "off": no noise anywhere
     noise_mode: str
-    # under calibrated AWGN, an RX chain with no compressing stage is one
-    # voltage gain, applied in closed form; None runs the chain itself
-    rx_gain: float | None
+    # calibrated AWGN and no compressing RX stage: the chain is one voltage
+    # gain, which the data-aided gain estimate divides out, so it is skipped
+    rx_linear: bool
 
 
 @dataclass
@@ -422,8 +423,6 @@ def _build_context(config: SimConfig) -> _Context:
     drive_dbm = scenario.tx_power_dbm - sum(s.gain_db for s in tx_chain.stages)
     noise_mode = ("ebn0" if config.calibration_ebn0_db is not None
                   else "thermal" if config.noise_enabled else "off")
-    # the gain chain_transfer multiplies by: the chain's one noiseless run
-    rx_runs = list(_folded_runs(rx_chain, scenario.bandwidth_hz, False, 0.0))
 
     return _Context(
         cmap=cmap,
@@ -436,17 +435,10 @@ def _build_context(config: SimConfig) -> _Context:
         tx_chain=tx_chain,
         rx_chain=rx_chain,
         input_power_w=dbm_to_watts(drive_dbm),
-        path_amplitude=10.0 ** (_path_db(scenario) / 20.0),
+        path_amplitude=10.0 ** (path_gain_db(scenario.channel) / 20.0),
         noise_mode=noise_mode,
-        rx_gain=rx_runs[0][0] if noise_mode == "ebn0" and len(rx_runs) == 1 else None,
+        rx_linear=noise_mode == "ebn0" and not any(s.is_nonlinear for s in rx_chain.stages),
     )
-
-
-def _path_db(scenario: LinkScenario) -> float:
-    """path_gain_db of the scenario: antenna gains plus free-space spreading."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the budget surfaces the near-field advisory
-        return path_gain_db(scenario.channel)
 
 
 def _channel_noise_var_w(config: SimConfig) -> float:
@@ -456,7 +448,7 @@ def _channel_noise_var_w(config: SimConfig) -> float:
         return dbm_to_watts(noise_floor(scenario.bandwidth_hz, 0.0))
     # Es/N0 against the budget's received power, small-signal TX output
     esn0_db = config.calibration_ebn0_db + 10.0 * math.log10(scenario.bits_per_symbol)
-    rx_power_dbm = scenario.tx_power_dbm + _path_db(scenario)
+    rx_power_dbm = friis_received_power(scenario.tx_power_dbm, scenario.channel)
     return dbm_to_watts(rx_power_dbm) / 10.0 ** (esn0_db / 10.0)
 
 
@@ -532,13 +524,14 @@ def _simulate_block(config: SimConfig, ctx: _Context, block: int, n_sym: int,
     serve every point (common random numbers): each point's statistics are
     those of a block run at that variance alone, the same code bit for bit.
 
-    Under calibrated AWGN through a linear RX chain of voltage gain g, a
-    point's RX samples are g (t + s u): the faded TX samples t plus its noise
-    scale s = sqrt(variance / 2) times the unit noise u. Its power is
-    g^2 (E_tt + 2 s R_tu + s^2 E_uu) and its projection on the reference
-    g (C_t + s C_u), from the block sums E_tt = sum |t|**2, E_uu = sum |u|**2,
-    R_tu = Re sum conj(t) u, C_t = sum conj(ref) t and C_u = sum conj(ref) u;
-    its gain-normalised samples are (s u + t) g / gain.
+    Under calibrated AWGN a linear RX chain is one voltage gain, which the
+    data-aided estimate divides out (error E - |C|**2 / P, samples times
+    E / C), so it is skipped: a point's RX samples are t + s u, the faded TX
+    samples t plus its noise scale s = sqrt(variance / 2) times the unit noise
+    u. Its power is E_tt + 2 s R_tu + s^2 E_uu and its projection on the
+    reference C_t + s C_u, from the block sums E_tt = sum |t|**2,
+    E_uu = sum |u|**2, R_tu = Re sum conj(t) u, C_t = sum conj(ref) t and
+    C_u = sum conj(ref) u.
     """
     guard = ctx.guard_symbols
     base = block * _STREAMS_PER_BLOCK
@@ -566,8 +559,7 @@ def _simulate_block(config: SimConfig, ctx: _Context, block: int, n_sym: int,
         chan_rng = noise_generator(config.seed, base + _STREAM_CHANNEL)
         unit = complex_noise(chan_rng, n_sym, 2.0)  # N(0, 1) per axis, scaled by 1.0
         rx_buffer = np.empty_like(unit) if len(noise_vars) > 1 else unit
-    g = ctx.rx_gain
-    if g is not None:
+    if ctx.rx_linear:
         a = ctx.path_amplitude  # t is the TX samples times a: their sums, scaled
         e_tt, c_t = a * a * tx_power, a * tx_c
         e_uu, c_u = _power_and_projection(unit, ref)
@@ -581,16 +573,14 @@ def _simulate_block(config: SimConfig, ctx: _Context, block: int, n_sym: int,
             s = math.sqrt(noise_var_w / 2.0)
             rx_samples = np.multiply(unit, s, out=rx_buffer)
             rx_samples += tx_samples
-        if g is None:
+        if ctx.rx_linear:
+            sums = e_tt + s * (2.0 * r_tu + s * e_uu), c_t + s * c_u
+        else:
             rx_samples = chain_transfer(rx_samples, ctx.rx_chain, ctx.bandwidth_hz, rx_rng,
                                         noise_var_w)
-            rx_gain, rx_err_energy = _gain_and_error(
-                *_power_and_projection(rx_samples, ref), ref_energy)
-            rx_samples *= 1.0 / rx_gain
-        else:
-            rx_gain, rx_err_energy = _gain_and_error(
-                g * g * (e_tt + s * (2.0 * r_tu + s * e_uu)), g * (c_t + s * c_u), ref_energy)
-            rx_samples *= g / rx_gain
+            sums = _power_and_projection(rx_samples, ref)
+        rx_gain, rx_err_energy = _gain_and_error(*sums, ref_energy)
+        rx_samples *= 1.0 / rx_gain
         rx_labels = demap_hard(rx_samples, ctx.cmap)
         n_errors = int(np.bitwise_count(rx_labels ^ ref_labels).sum())
         points.append((n_errors, rx_err_energy, rx_samples[:cloud_take].copy()))

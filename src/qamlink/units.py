@@ -16,6 +16,18 @@ THERMAL_NOISE_DBM_PER_HZ = -174.0
 PowerDbm = float
 GainDb = float
 
+# Bound on every dB-scaled input (gain, noise figure, dBm, Eb/N0, a rate's
+# 10 log10): a power factor of 1e50 keeps the cascade's kTB(F-1)G terms, the
+# simulator's sums and 10^(x/20) of a sum of a few such terms inside the floats.
+MAX_GAIN_DB = 500.0
+
+
+def check_db(name: str, value: float | None, low: float = -MAX_GAIN_DB,
+             unit: str = "dB") -> None:
+    """Reject a dB-scaled value outside [low, MAX_GAIN_DB], nan included; None is unset."""
+    if value is not None and not low <= value <= MAX_GAIN_DB:
+        raise ValueError(f"{name} must be within [{low:g}, {MAX_GAIN_DB:g}] {unit}, got {value}")
+
 
 def db_to_linear(x_db: GainDb) -> float:
     """dB ratio to linear power ratio, 10^(x/10)."""

@@ -202,12 +202,9 @@ def test_criterion_8_property_suites(monkeypatch):
             failures.append(f"roundtrip M={order}")
 
     # Friis inverse pair to 1e-9 dB
-    import warnings
     for p_min in (-70.0, -40.0, -10.0):
         d = max_distance(23.31, p_min, ChannelSpec(5e9, 1.0))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            back = friis_received_power(23.31, ChannelSpec(5e9, d))
+        back = friis_received_power(23.31, ChannelSpec(5e9, d))
         if abs(back - p_min) > 1e-9:
             failures.append(f"friis inverse at {p_min}")
 

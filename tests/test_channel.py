@@ -42,9 +42,7 @@ class TestFriis:
     def test_zero_path_loss_distance(self):
         lam = 299792458.0 / 5e9
         spec = ChannelSpec(frequency_hz=5e9, distance_m=lam / (4 * math.pi))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert friis_received_power(10.0, spec) == pytest.approx(10.0, abs=1e-9)
+        assert friis_received_power(10.0, spec) == pytest.approx(10.0, abs=1e-9)
 
     def test_inverse_square_law(self):
         near = friis_received_power(20.0, ChannelSpec(5e9, 4.0))
@@ -63,13 +61,14 @@ class TestFriis:
             0.0, ChannelSpec(5e9, 5.0, tx_antenna_gain_db=6.0, rx_antenna_gain_db=3.0))
         assert gained - base == pytest.approx(9.0, abs=1e-9)
 
-    def test_near_field_warning(self):
+    def test_path_gain_is_silent_in_the_near_field(self):
+        """path_gain_db is the bare formula: the near-field advisory is the
+        budget report's."""
         lam = 299792458.0 / 5e9
-        with pytest.warns(UserWarning, match="far-field"):
-            path_gain_db(ChannelSpec(5e9, 5.0 * lam))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            path_gain_db(ChannelSpec(5e9, 20.0 * lam))  # no warning
+            assert path_gain_db(ChannelSpec(5e9, 5.0 * lam)) == pytest.approx(
+                20.0 * math.log10(1.0 / (20.0 * math.pi)), abs=1e-12)
 
 
 class TestNoiseFloor:

@@ -1,6 +1,7 @@
 import math
 import os
 import re
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -111,7 +112,8 @@ class TestConfigParsing:
 
     def test_inconsistent_stage_values(self):
         text = "rx_chain.1.gain_db = 10\nrx_chain.1.nf_db = -1\n"
-        with pytest.raises(ConfigError, match=r"rx_chain.1: .*noise figure must be >= 0 dB"):
+        with pytest.raises(ConfigError,
+                           match=r"rx_chain.1: .*noise figure must be within \[0, 500\] dB"):
             parse_config_text(text, source="cfg")
 
     def test_gaussian_pulse_span_bounds_bt(self):
@@ -272,7 +274,7 @@ class TestSimulateCommand:
             code = cli.main([command, "--config", str(PAPER_CFG), "--tx-power", "nan",
                              "--out", str(tmp_path)])
             assert code == 1
-            assert "transmit power must be finite" in capsys.readouterr().err
+            assert "argument --tx-power: must be a finite number" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line", [
         "distance_m = nan", "frequency_hz = inf", "tx_chain.3.p1db_out_dbm = nan",
@@ -300,7 +302,7 @@ class TestSimulateCommand:
                          "--bits", "8000", "--out", str(tmp_path)])
         err = capsys.readouterr().err
         assert code == 1
-        assert err.count("\n") == 1 and "Eb/N0 must be finite" in err
+        assert err.count("\n") == 1 and "argument --ebn0: must be a finite number" in err
 
     @pytest.mark.parametrize("command", [
         ["simulate", "--ebn0", "-4000"],
@@ -407,7 +409,7 @@ class TestBerSweepCommand:
                          *(f"{key}={val}" for key, val in argv.items())])
         err = capsys.readouterr().err
         assert code == 1
-        assert err.count("\n") == 1 and f"{flag} must be finite" in err
+        assert err.count("\n") == 1 and f"argument {flag}: must be a finite number" in err
 
     @pytest.mark.parametrize("theory_only", [[], ["--theory-only"]])
     @pytest.mark.parametrize("span", [["--to=10", "--step=1e-300"],
@@ -473,6 +475,46 @@ class TestSpectrumCommand:
         assert len(lines) > 64
 
 
+class TestNearField:
+    """The near-field advisory is the budget report's: path_gain_db is the
+    bare formula, so no simulation command warns or touches the process-wide
+    warning filters (a run used to wrap it in warnings.catch_warnings)."""
+
+    @pytest.mark.parametrize("argv,advisories", [
+        (["budget"], 1), (["simulate", "--bits", "8000"], 0),
+        (["simulate", "--bits", "8000", "--ebn0", "20"], 0), (["spectrum", "--bits", "8000"], 0),
+        (["ber-sweep", "--from", "10", "--to", "20", "--step", "10", "--bits", "8000"], 0)])
+    def test_only_budget_warns(self, tmp_path, capsys, monkeypatch, argv, advisories):
+        lam = 299792458.0 / 5e9
+        path = tmp_path / "near.cfg"
+        path.write_text(re.sub(r"^distance_m = .*$", f"distance_m = {5.0 * lam!r}",
+                               PAPER_CFG.read_text(), flags=re.M))
+        touched = []
+
+        def spy(name, real):
+            def call(*args, **kwargs):
+                touched.append(name)
+                return real(*args, **kwargs)
+            return call
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            filters = list(warnings.filters)
+            try:
+                for name in ("catch_warnings", "simplefilter", "filterwarnings", "resetwarnings"):
+                    monkeypatch.setattr(warnings, name, spy(name, getattr(warnings, name)))
+                code = cli.main([*argv, "--config", str(path), "--out", str(tmp_path / "out")])
+            finally:
+                monkeypatch.undo()
+            assert warnings.filters == filters
+        assert code == 0
+        assert touched == []
+        assert capsys.readouterr().err == ""
+        assert [str(w.message) for w in caught] == [
+            f"distance {5.0 * lam:.4g} m is below 10 wavelengths at this frequency; "
+            "the far-field model is optimistic here"] * advisories
+
+
 class TestErrorLines:
     """Every failure reaching main exits 1 with one stderr line."""
 
@@ -482,9 +524,7 @@ class TestErrorLines:
         bad = tmp_path / "bad.cfg"
         bad.write_text(re.sub(r"^distance_m = .*$", "distance_m = -5",
                               PAPER_CFG.read_text(), flags=re.M))
-        runs = [(PAPER_CFG, [command, "--tx-power", "inf"])
-                for command in ("simulate", "spectrum")]
-        runs += [(bad, [command]) for command in ("simulate", "spectrum")]
+        runs = [(bad, [command]) for command in ("simulate", "spectrum")]
         runs.append((bad, ["ber-sweep", "--from", "0", "--to", "1"]))
         for path, argv in runs:
             code = cli.main([*argv, "--config", str(path), "--out", str(tmp_path / "out")])
@@ -492,6 +532,23 @@ class TestErrorLines:
             assert code == 1
             assert err.count("\n") == 1 and err.startswith(f"error: {path}: ")
             assert err.count(f"{path}:") == 1
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    @pytest.mark.parametrize("argv,flag", [
+        (["budget"], "--tx-power"), (["simulate"], "--tx-power"), (["spectrum"], "--tx-power"),
+        (["simulate"], "--ebn0"), (["ber-sweep", "--to=1"], "--from"),
+        (["ber-sweep", "--from=0"], "--to"), (["ber-sweep", "--from=0", "--to=1"], "--step")])
+    def test_non_finite_flag_is_blamed_on_the_flag(self, tmp_path, capsys, argv, flag, value):
+        """`--tx-power inf` and `--ebn0 nan` used to be reported against the
+        config file, as in 'paper.cfg: transmit power must be finite'."""
+        out = tmp_path / "out"
+        code = cli.main([*argv, f"{flag}={value}", "--config", str(PAPER_CFG), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1, err
+        assert f"argument {flag}: must be a finite number, got '{value}'" in err
+        assert str(PAPER_CFG) not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("line", [
         "gaussian_bt = -1", "samples_per_symbol = 1", "evm_threshold_pct = 0",
@@ -501,14 +558,27 @@ class TestErrorLines:
         "gaussian_bt = 1e-9", "gaussian_bt = 1e-300", "gaussian_bt = 5e-324",
         # lambda / (4 pi d) overflows to inf; it used to run to BER 0.5 and
         # 0% RX EVM, and budget to an inf dBm sensitivity
-        "frequency_hz = 1e-300", "distance_m = 5e-324"])
+        "frequency_hz = 1e-300", "distance_m = 5e-324",
+        # dB-scaled values past +-MAX_GAIN_DB: 10^(P1dB/10) underflowed to a
+        # ZeroDivisionError traceback in simulate while budget exited 0, or
+        # overflowed to "(34, 'Numerical result out of range')"
+        "rx_chain.2.p1db_out_dbm = -4000", "tx_chain.3.p1db_out_dbm = 4000",
+        # budget printed "(34, ...)" from max_distance's 10^(budget_db/10), and
+        # ber-sweep blamed the Eb/N0 ("... got 0.0") on several of them
+        "bit_rate_bps = 1e-300", "tx_power_dbm = 4000", "tx_antenna_gain_db = 4000",
+        "ebn0_override_db = -4000", "rx_nf_override_db = -4000", "distance_m = 1e300",
+        # the same bounds, on the other side
+        "bit_rate_bps = 1e300", "frequency_hz = 1e300", "tx_power_dbm = -4000",
+        "rx_antenna_gain_db = -4000", "rx_nf_override_db = 4000", "distance_m = 1e-300"])
     def test_file_value_a_rule_rejects_fails_every_command_when_read(
             self, tmp_path, capsys, line):
         """A file is checked in full as it is read, so budget rejects what
         simulate rejects (it used to exit 0 on the first four lines), and a
-        flag does not rescue a bad file value."""
+        flag does not rescue a bad file value. The one line names the file
+        and the key (a stage key by its chain prefix and field)."""
         key = line.split()[0]
-        text, n = re.subn(rf"^{key} = .*$", line, PAPER_CFG.read_text(), flags=re.M)
+        text, n = re.subn(rf"^{re.escape(key)} = .*$", line, PAPER_CFG.read_text(),
+                          flags=re.M)
         assert n == 1
         path = tmp_path / "bad.cfg"
         path.write_text(text)
@@ -519,6 +589,7 @@ class TestErrorLines:
             err = capsys.readouterr().err
             assert code == 1, argv
             assert err.count("\n") == 1 and err.startswith(f"error: {path}: "), err
+            assert all(part in err for part in key.rsplit(".", 1)), err
             assert not out.exists()
 
     @pytest.mark.parametrize("gains,key", [

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import pytest
 
@@ -72,13 +73,9 @@ class TestMaxDistance:
             max_distance(10.0, 10.1, ISO_5GHZ)
 
     def test_friis_inverse_pair(self):
-        import warnings
         for p_min in (-60.0, -30.0, -5.0):
             d = max_distance(23.31, p_min, ISO_5GHZ)
-            spec = ChannelSpec(5e9, d)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                back = friis_received_power(23.31, spec)
+            back = friis_received_power(23.31, ChannelSpec(5e9, d))
             assert back == pytest.approx(p_min, abs=1e-9)
 
 
@@ -131,12 +128,9 @@ class TestAnalyze:
         assert analyze(scenario) == analyze(scenario)
 
     def test_margin_is_zero_at_sensitivity_range(self):
-        import warnings
         report = analyze(RunConfig().scenario())
         spec = ChannelSpec(5e9, report.max_distance_at_sensitivity_m)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            p_rx = friis_received_power(report.tx_power_dbm, spec)
+        p_rx = friis_received_power(report.tx_power_dbm, spec)
         assert p_rx - report.sensitivity_dbm == pytest.approx(0.0, abs=1e-9)
 
     def test_noncompliant_power_flagged(self):
@@ -144,3 +138,18 @@ class TestAnalyze:
         cfg.tx_power_dbm = 25.0
         report = analyze(cfg.scenario())
         assert not report.fcc_compliant
+
+    def test_near_field_warning(self):
+        """The budget, the one report of the path, flags a range under ten
+        wavelengths; the formula's result is unchanged by it."""
+        lam = 299792458.0 / 5e9
+        cfg = RunConfig()
+        cfg.distance_m = 5.0 * lam
+        with pytest.warns(UserWarning, match="below 10 wavelengths.*far-field"):
+            report = analyze(cfg.scenario())
+        assert report.rx_power_dbm == pytest.approx(
+            cfg.tx_power_dbm + 20.0 * math.log10(1.0 / (20.0 * math.pi)), abs=1e-9)
+        cfg.distance_m = 20.0 * lam
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            analyze(cfg.scenario())  # no warning

@@ -42,8 +42,16 @@ class TestStageSpec:
 
     @pytest.mark.parametrize("p1db", [math.nan, math.inf])
     def test_rejects_non_finite_p1db(self, p1db):
-        with pytest.raises(ValueError, match="P1dB must be finite"):
+        with pytest.raises(ValueError, match=r"p1db_out_dbm must be within \[-500, 500\] dBm"):
             StageSpec("bad", gain_db=10.0, nf_db=1.0, p1db_out_dbm=p1db)
+
+    @pytest.mark.parametrize("p1db", [-500.5, 500.5, -4000.0, 4000.0])
+    def test_rejects_p1db_beyond_bound(self, p1db):
+        """10^(P1dB/10) under- or overflowed in _polynomial_coefficients."""
+        with pytest.raises(ValueError, match="p1db_out_dbm must be within"):
+            StageSpec("bad", gain_db=10.0, nf_db=1.0, p1db_out_dbm=p1db)
+        for edge in (-MAX_GAIN_DB, MAX_GAIN_DB):
+            assert StageSpec("ok", 10.0, 1.0, edge).p1db_out_dbm == edge
 
     def test_passive_helper_sets_nf_to_loss(self):
         stage = StageSpec.passive("filter", loss_db=3.0)
@@ -78,7 +86,7 @@ class TestStageSpec:
 
     @pytest.mark.parametrize("nf_db", [500.5, math.inf, math.nan])
     def test_rejects_noise_figure_beyond_bound(self, nf_db):
-        with pytest.raises(ValueError, match="noise figure must be >= 0 dB"):
+        with pytest.raises(ValueError, match=r"noise figure must be within \[0, 500\] dB"):
             StageSpec("bad", gain_db=10.0, nf_db=nf_db)
         assert StageSpec("ok", gain_db=10.0, nf_db=500.0).nf_db == 500.0
 

@@ -922,8 +922,7 @@ class TestWindowNoiseExpectation:
         assert noise_var_w == pytest.approx(expected, rel=1e-12, abs=0)
         assert noise_var_w == pytest.approx(2.4201e-8, rel=1e-4)
         folded = 0.0
-        for gain, noise_w, stage in rfchain._folded_runs(ctx.tx_chain, ctx.bandwidth_hz,
-                                                         True, 0.0):
+        for gain, noise_w, stage in rfchain._folded_runs(ctx.tx_chain, ctx.bandwidth_hz, 0.0):
             folded = folded * gain ** 2 + noise_w
             if stage is not None:
                 folded *= 10.0 ** (stage.gain_db / 10.0)
@@ -1200,7 +1199,7 @@ class TestBlockSums:
         n_sym = simulate._SYMBOLS_PER_BLOCK + 500
         config = cfg.sim_config(n_bits=n_sym * int(math.log2(order)), seed=seed)
         ctx = simulate._build_context(replace(config, calibration_ebn0_db=ebn0_values[0]))
-        assert ctx.rx_gain == pytest.approx(10.0 ** (sum(gains) / 20.0), rel=1e-12)
+        assert ctx.rx_linear
         results = next(simulate.run_plans([simulate.link_sim_plan(config, ebn0_values)]))
         for result, (errors, tx_evm, rx_evm, cloud) in zip(
                 results, direct_points(config, ebn0_values), strict=True):
@@ -1208,6 +1207,24 @@ class TestBlockSums:
             assert result.tx_evm_pct == pytest.approx(tx_evm, rel=1e-12, abs=0)
             assert result.rx_evm_pct == pytest.approx(rx_evm, rel=1e-12, abs=0)
             np.testing.assert_allclose(result.rx_constellation, cloud, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_linear_rx_gains_change_no_result(self, monkeypatch, threads):
+        """The data-aided estimate divides out a linear RX chain's gain:
+        chains that differ only in their gains (0 dB against +40/-25 dB) give
+        equal bit errors and EVMs to 1e-12 relative, two points over two
+        blocks."""
+        monkeypatch.setenv("QAMLINK_THREADS", threads)
+        cfg = load_config(str(PAPER_CFG))
+        runs = []
+        for gains in ((0.0, 0.0), (40.0, -25.0)):
+            cfg.rx_stages = [rfchain.StageSpec(f"s{i}", g, 3.0) for i, g in enumerate(gains)]
+            config = cfg.sim_config(n_bits=8 * (simulate._SYMBOLS_PER_BLOCK + 500), seed=11)
+            runs.append(next(simulate.run_plans([simulate.link_sim_plan(config, [14.0, 22.0])])))
+        for plain, gained in zip(*runs, strict=True):
+            assert plain.n_bit_errors == gained.n_bit_errors > 0
+            assert plain.tx_evm_pct == gained.tx_evm_pct
+            assert plain.rx_evm_pct == pytest.approx(gained.rx_evm_pct, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("pa_linear,rx_calls", [(False, 3), (True, 0)])
     def test_rx_chain_runs_once_per_point_only_when_it_compresses(
@@ -1219,7 +1236,7 @@ class TestBlockSums:
         config = load_config(str(PAPER_CFG)).sim_config(n_bits=8 * (2 * n0 + 1000),
                                                         pa_linear=pa_linear)
         ctx = simulate._build_context(replace(config, calibration_ebn0_db=20.0))
-        assert (ctx.rx_gain is None) == (not pa_linear)
+        assert ctx.rx_linear == pa_linear
         real, chains = simulate.chain_transfer, []
 
         def chain_transfer(x, chain, *args):
