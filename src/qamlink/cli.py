@@ -26,6 +26,7 @@ from .simulate import (
     transmit_waveform,
     window_plan,
 )
+from .units import check_db
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -56,6 +57,15 @@ def _finite(raw: str) -> float:
         if math.isfinite(value := float(raw)):
             return value
     raise argparse.ArgumentTypeError(f"must be a finite number, got {raw!r}")
+
+
+def _dbm(raw: str) -> float:
+    """The type of --tx-power: finite, and within the bound of every dBm input."""
+    try:
+        check_db("", value := _finite(raw), unit="dBm")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc).lstrip()) from None
+    return value
 
 
 def _write_lines(path: str, lines: list[str]) -> None:
@@ -224,7 +234,7 @@ def _add_common(parser: _Parser, *, bits: bool = True, tx_power: bool = True) ->
     parser.add_argument("--out", metavar="DIR", help="output directory")
     parser.add_argument("--seed", type=int, metavar="N", help="RNG seed")
     if tx_power:
-        parser.add_argument("--tx-power", type=_finite, metavar="DBM",
+        parser.add_argument("--tx-power", type=_dbm, metavar="DBM",
                             help="override transmit power")
     if bits:
         parser.add_argument("--bits", type=int, metavar="N",

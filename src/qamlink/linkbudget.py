@@ -99,13 +99,13 @@ def max_distance(p_tx_dbm: PowerDbm, p_rx_min_dbm: PowerDbm,
 
     Inverts the Friis equation including antenna gains:
     d = (lambda / 4 pi) * sqrt(G_tx G_rx P_tx / P_rx) = (lambda / 4 pi) * 10^(budget_db / 20).
+    When p_rx_min exceeds the transmit power plus antenna gains, no far-field
+    range delivers it, and the range is 0.
     """
     budget_db = (p_tx_dbm + chan.tx_antenna_gain_db + chan.rx_antenna_gain_db
                  - p_rx_min_dbm)
     if budget_db < 0.0:
-        raise ValueError(
-            f"required receive power {p_rx_min_dbm} dBm exceeds the "
-            f"{p_tx_dbm} dBm transmitter plus antenna gains")
+        return 0.0
     return wavelength(chan.frequency_hz) / (4.0 * math.pi) * 10.0 ** (budget_db / 20.0)
 
 

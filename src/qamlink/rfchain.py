@@ -100,6 +100,21 @@ def output_noise_watts(chain: ChainSpec, bandwidth_hz: float) -> float:
     return noise_w
 
 
+def split_output_noise(chain: ChainSpec, bandwidth_hz: float) -> tuple[ChainSpec, float]:
+    """The chain with its last run made noiseless, and that run's noise at
+    the chain output.
+
+    The last run is every stage from the last compressing one on, the whole
+    chain if none compresses. Only small-signal gains lie behind its noise,
+    so a draw further down the link can carry it, referred through the
+    linear gains in between (Jeruchim, Balaban & Shanmugan, *Simulation of
+    Communication Systems*)."""
+    k = max((i for i, s in enumerate(chain.stages) if s.is_nonlinear), default=0)
+    quiet = chain.stages[:k] + tuple(replace(s, nf_db=0.0) for s in chain.stages[k:])
+    *_, (_, noise_w, _) = _folded_runs(chain, bandwidth_hz, 0.0)
+    return ChainSpec(quiet), noise_w
+
+
 def oip3_from_p1db(p1db_out_dbm: PowerDbm) -> PowerDbm:
     """Output third-order intercept from output P1dB via the 10.6 dB offset."""
     return p1db_out_dbm + OIP3_OVER_P1DB_DB

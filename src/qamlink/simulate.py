@@ -32,6 +32,7 @@ come from five block sums.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import warnings
@@ -53,7 +54,7 @@ from .modem import (
     demap_hard,
     map_bits,
 )
-from .rfchain import ChainSpec, chain_transfer, output_noise_watts
+from .rfchain import ChainSpec, chain_transfer, output_noise_watts, split_output_noise
 from .units import dbm_to_watts, watts_to_dbm
 
 Z_95 = NormalDist().inv_cdf(0.975)
@@ -190,7 +191,7 @@ def pulse_shape(symbols, pulse: _SymbolRatePulse, start: int = 0,
     the whole.
     """
     symbols = np.ascontiguousarray(symbols, dtype=np.complex128)
-    k, sps, delay = pulse.bank.shape[1], pulse.sps, pulse.delay
+    k, sps, delay = pulse.n_taps, pulse.sps, pulse.delay
     stop = symbols.size * sps if stop is None else stop
     # full-convolution rows first..last hold the span, each made from the k
     # symbols up to it; np.convolve swaps a longer kernel, so slice >= k symbols
@@ -224,18 +225,25 @@ def _welch_pieces(piece: Callable[[int, int], np.ndarray], start: int, stop: int
 def _periodogram_sum(x: np.ndarray, segment_len: int, carry=0.0) -> np.ndarray:
     """The periodograms of x's Hann-windowed, half-overlapping segments, summed onto carry."""
     step = segment_len - segment_len // 2
-    segments = np.lib.stride_tricks.sliding_window_view(x, segment_len)[::step]
+    stride = x.strides[0]
+    segments = np.lib.stride_tricks.as_strided(
+        x, ((x.size - segment_len) // step + 1, segment_len), (step * stride, stride),
+        writeable=False)
     spectra = segments * _periodic_hann(segment_len)
     np.fft.fft(spectra, axis=1, out=spectra)
     squares = spectra.view(np.float64)
     squares *= squares
-    rows = squares[:, ::2] + squares[:, 1::2]
+    rows = squares[:, ::2]
+    rows += squares[:, 1::2]
     rows[0] += carry  # + 0.0 changes no periodogram bin, a sum of squares
     return np.sum(rows, axis=0)
 
 
+@functools.cache
 def _periodic_hann(segment_len: int) -> np.ndarray:
-    return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(segment_len) / segment_len)
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(segment_len) / segment_len)
+    window.flags.writeable = False
+    return window
 
 
 def _welch_density(chunk_sums: list, n_samples: int, sample_rate_hz: float, segment_len: int):
@@ -297,10 +305,10 @@ def estimate_spectrum(samples, sample_rate_hz: float,
 # run_link_sim internals
 
 def _real_dot(a: np.ndarray, b: np.ndarray) -> float:
-    """Re sum(conj(a) * b), as a pairwise float sum. np.vdot would hand a
-    block-sized product to a BLAS that starts threads of its own, and those
-    contend with the block workers."""
-    return np.sum(a.view(np.float64) * b.view(np.float64))
+    """Re sum(conj(a) * b), as one fused float multiply-sum with no temporary.
+    np.vdot would hand a block-sized product to a BLAS that starts threads of
+    its own, and those contend with the block workers."""
+    return float(np.einsum("i,i->", a.view(np.float64), b.view(np.float64)))
 
 
 @dataclass(frozen=True)
@@ -319,7 +327,10 @@ class _SymbolRatePulse:
     taps: np.ndarray  # the lowpass after the hold; [1.0] for rectangular pulses
     sps: int
     delay: int
-    bank: np.ndarray  # (sps, K): p[r::sps] in row r, zero-padded to K taps
+    n_taps: int       # K, the taps of each phase
+    # (sps, 2K - 1): p[r::sps] in row r, zero-padded to K taps, with a zero
+    # between taps, so that it filters interleaved (re, im) pairs as floats
+    bank: np.ndarray
     acf: np.ndarray   # p's autocorrelation at lags 0, sps, 2 sps, ...
 
     @classmethod
@@ -328,21 +339,19 @@ class _SymbolRatePulse:
         taps = (gaussian_taps(config.gaussian_bt, sps)
                 if config.pulse_shape == "gaussian" else np.ones(1))
         pulse = np.convolve(np.ones(sps), taps)
-        bank = np.pad(pulse, (0, -pulse.size % sps)).reshape(-1, sps).T
+        phases = np.pad(pulse, (0, -pulse.size % sps)).reshape(-1, sps).T
+        bank = np.zeros((sps, 2 * phases.shape[1] - 1))
+        bank[:, ::2] = phases
         acf = np.correlate(pulse, pulse, "full")[pulse.size - 1::sps]
-        return cls(taps, sps, (taps.size - 1) // 2, bank, acf)
+        return cls(taps, sps, (taps.size - 1) // 2, phases.shape[1], bank, acf)
 
     def _filter(self, symbols: np.ndarray, r: int) -> np.ndarray:
         """Full convolution of the symbols with phase r: n + K - 1 samples."""
-        # the real taps filter the interleaved (re, im) pairs as one float
-        # sequence, a zero between taps
-        spread = np.zeros(2 * self.bank.shape[1] - 1)
-        spread[::2] = self.bank[r]
-        return np.convolve(symbols.view(np.float64), spread).view(np.complex128)
+        return np.convolve(symbols.view(np.float64), self.bank[r]).view(np.complex128)
 
     def full(self, symbols: np.ndarray) -> np.ndarray:
         """The full convolution, zero-padded to (n + K - 1) * sps samples."""
-        out = np.empty((symbols.size + self.bank.shape[1] - 1, self.sps), np.complex128)
+        out = np.empty((symbols.size + self.n_taps - 1, self.sps), np.complex128)
         for r in range(self.sps):
             out[:, r] = self._filter(symbols, r)
         return out.reshape(-1)
@@ -360,7 +369,7 @@ class _SymbolRatePulse:
             energy += 2.0 * self.acf[lag] * _real_dot(s[:-lag], s[lag:])
         # less the samples outside that span, from the guard + K symbols at
         # each end that reach them
-        k = guard + self.bank.shape[1]
+        k = guard + self.n_taps
         head = self.full(s[:k])[:self.delay + guard * self.sps]
         end = s[-k:]
         tail = self.full(end)[(end.size - guard) * self.sps + self.delay:]
@@ -380,6 +389,10 @@ class _Context:
     bandwidth_hz: float
     pulse: _SymbolRatePulse
     tx_chain: ChainSpec
+    # the TX chain of the Monte-Carlo blocks and the TX output noise they do
+    # not draw: thermal runs draw it at the RX input (_channel_noise_var_w)
+    tx_block_chain: ChainSpec
+    tx_output_noise_w: float
     rx_chain: ChainSpec
     input_power_w: float
     path_amplitude: float
@@ -416,13 +429,15 @@ def _build_context(config: SimConfig) -> _Context:
     guard = (math.ceil((pulse.taps.size // 2) / sps) + 1
              if config.pulse_shape == "gaussian" else 0)
 
-    tx_chain = config.tx_chain.linearized() if config.pa_linear else config.tx_chain
-    rx_chain = scenario.rx_chain.linearized() if config.pa_linear else scenario.rx_chain
+    tx_chain, rx_chain = _chains(config)
 
     # average drive power: the small-signal chain output is the transmit power
     drive_dbm = scenario.tx_power_dbm - sum(s.gain_db for s in tx_chain.stages)
     noise_mode = ("ebn0" if config.calibration_ebn0_db is not None
                   else "thermal" if config.noise_enabled else "off")
+    tx_block_chain, tx_output_noise_w = (
+        split_output_noise(tx_chain, scenario.bandwidth_hz) if noise_mode == "thermal"
+        else (tx_chain, 0.0))
 
     return _Context(
         cmap=cmap,
@@ -433,6 +448,8 @@ def _build_context(config: SimConfig) -> _Context:
         bandwidth_hz=scenario.bandwidth_hz,
         pulse=pulse,
         tx_chain=tx_chain,
+        tx_block_chain=tx_block_chain,
+        tx_output_noise_w=tx_output_noise_w,
         rx_chain=rx_chain,
         input_power_w=dbm_to_watts(drive_dbm),
         path_amplitude=10.0 ** (path_gain_db(scenario.channel) / 20.0),
@@ -441,11 +458,20 @@ def _build_context(config: SimConfig) -> _Context:
     )
 
 
+def _chains(config: SimConfig) -> tuple[ChainSpec, ChainSpec]:
+    """The TX and RX chains a run uses."""
+    tx, rx = config.tx_chain, config.scenario.rx_chain
+    return (tx.linearized(), rx.linearized()) if config.pa_linear else (tx, rx)
+
+
 def _channel_noise_var_w(config: SimConfig) -> float:
-    """The channel noise variance at the RX input: kTB, or the calibrated AWGN."""
+    """The noise variance due at the RX input: the calibrated AWGN, or kTB
+    plus the TX chain's output noise referred through the path, a linear gain."""
     scenario = config.scenario
     if config.calibration_ebn0_db is None:
-        return dbm_to_watts(noise_floor(scenario.bandwidth_hz, 0.0))
+        tx_noise_w = split_output_noise(_chains(config)[0], scenario.bandwidth_hz)[1]
+        path_power = 10.0 ** (path_gain_db(scenario.channel) / 10.0)
+        return dbm_to_watts(noise_floor(scenario.bandwidth_hz, 0.0)) + tx_noise_w * path_power
     # Es/N0 against the budget's received power, small-signal TX output
     esn0_db = config.calibration_ebn0_db + 10.0 * math.log10(scenario.bits_per_symbol)
     rx_power_dbm = friis_received_power(scenario.tx_power_dbm, scenario.channel)
@@ -492,7 +518,8 @@ def _tx_block(config: SimConfig, ctx: _Context, block: int, n_sym: int, *,
 
     The waveform is its n_sym symbol instants, one phase of the pulse
     shaper's filter bank: every later TX stage is memoryless with white
-    noise, which only the instants draw. Given ``reduce``, it is reduce(piece)
+    noise, which only the instants draw, but for a thermal run's TX output
+    noise, drawn at the RX input. Given ``reduce``, it is reduce(piece)
     of the noise-free full-rate waveform with guards, whose samples
     [start, stop) are piece(start, stop), all by default. Either way the
     drive is normalised on the full-rate pulse's mean power between the
@@ -511,7 +538,8 @@ def _tx_block(config: SimConfig, ctx: _Context, block: int, n_sym: int, *,
         wave *= scale
         tx_rng = (noise_generator(config.seed, base + _STREAM_TX)
                   if ctx.noise_mode == "thermal" and not reduce else None)
-        return chain_transfer(wave, ctx.tx_chain, ctx.bandwidth_hz, tx_rng)
+        return chain_transfer(wave, ctx.tx_chain if reduce else ctx.tx_block_chain,
+                              ctx.bandwidth_hz, tx_rng)
 
     return labels, symbols, reduce(transmit) if reduce else transmit()
 
@@ -543,14 +571,17 @@ def _simulate_block(config: SimConfig, ctx: _Context, block: int, n_sym: int,
     ref_labels = labels[guard:guard + n_sym]
     ref_energy = _energy(ref)
     tx_power, tx_c = _power_and_projection(tx_samples, ref)
-    tx_gain, tx_err_energy = _gain_and_error(tx_power, tx_c, ref_energy)
+    # the TX output noise is drawn at the RX input: its expected power here
+    tx_gain, tx_err_energy = _gain_and_error(tx_power + n_sym * ctx.tx_output_noise_w, tx_c,
+                                             ref_energy)
     tx_cloud = tx_samples[:cloud_take] / tx_gain
 
     # every stage after the pulse shaper is memoryless and every noise draw
     # white per sample, so the channel and the RX chain run on the instants:
     # the free-space path, then the additive noise for the selected mode;
     # thermal channel noise is due at the RX chain input, which draws it
-    # together with the noise of the chain's first linear stages
+    # together with the TX output noise and the noise of the chain's first
+    # linear stages
     tx_samples *= ctx.path_amplitude
     rx_rng = None
     if ctx.noise_mode == "thermal":

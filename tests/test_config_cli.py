@@ -147,13 +147,19 @@ class TestBudgetCommand:
         assert "sensitivity_dbm: -54.37" in text
         assert text.endswith("\n")
 
-    def test_out_of_range_power_exits_1_with_one_line(self, tmp_path, capsys):
-        """No range reaches the sensitivity; used to end in a traceback."""
-        code = cli.main(["budget", "--config", str(PAPER_CFG), "--tx-power", "-100",
+    @pytest.mark.parametrize("power", ["-100", "-60"])
+    def test_power_below_sensitivity_reports_zero_range(self, tmp_path, capsys, power):
+        """No range reaches the sensitivity: the report says so with a zero
+        range and a negative margin, and the exit code is the compliance one.
+        It used to exit 1 with a line that named neither file nor key."""
+        code = cli.main(["budget", "--config", str(PAPER_CFG), "--tx-power", power,
                          "--out", str(tmp_path)])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        report = read_report(tmp_path / "budget_report.txt")
+        assert float(report["max_distance_at_sensitivity_m"]) == 0.0
+        assert float(report["link_margin_db"]) < 0.0
+        assert float(report["max_distance_m"]) == pytest.approx(1.79, abs=0.01)
 
     def test_noncompliant_power_exits_2_but_writes_report(self, tmp_path):
         code = cli.main(["budget", "--config", str(PAPER_CFG),
@@ -547,6 +553,22 @@ class TestErrorLines:
         assert code == 1
         assert err.count("\n") == 1, err
         assert f"argument {flag}: must be a finite number, got '{value}'" in err
+        assert str(PAPER_CFG) not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["4000", "-4000", "500.5"])
+    @pytest.mark.parametrize("command", ["budget", "simulate", "spectrum"])
+    def test_out_of_bound_tx_power_is_blamed_on_the_flag(self, tmp_path, capsys, command,
+                                                          value):
+        """`--tx-power 4000` used to be reported against the config file, as
+        in 'paper.cfg: tx_power_dbm must be within [-500, 500] dBm'."""
+        out = tmp_path / "out"
+        code = cli.main([command, f"--tx-power={value}", "--config", str(PAPER_CFG),
+                         "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1, err
+        assert f"argument --tx-power: must be within [-500, 500] dBm, got {float(value)}" in err
         assert str(PAPER_CFG) not in err
         assert not out.exists()
 

@@ -68,9 +68,15 @@ class TestMaxDistance:
             ChannelSpec(5e9, 1.79, tx_antenna_gain_db=10.0, rx_antenna_gain_db=10.0))
         assert gained / base == pytest.approx(10.0, rel=1e-9)
 
-    def test_rejects_impossible_budget(self):
-        with pytest.raises(ValueError):
-            max_distance(10.0, 10.1, ISO_5GHZ)
+    def test_impossible_budget_is_zero_range(self):
+        """No far-field range delivers more than the transmitter plus antenna
+        gains: the range is 0, and the budget of such a design is reported."""
+        assert max_distance(10.0, 10.1, ISO_5GHZ) == 0.0
+        scenario = RunConfig(tx_power_dbm=-60.0).scenario()
+        report = analyze(scenario)
+        assert report.sensitivity_dbm > scenario.tx_power_dbm
+        assert report.max_distance_at_sensitivity_m == 0.0
+        assert report.max_distance_m == pytest.approx(1.79, abs=0.01)
 
     def test_friis_inverse_pair(self):
         for p_min in (-60.0, -30.0, -5.0):

@@ -858,15 +858,16 @@ class TestSymbolRateBlocks:
             np.testing.assert_array_equal(instants[first:first + n_sym], at_instants)
 
     def test_thermal_draw_count_follows_block_plan(self, monkeypatch):
-        """4 Mbit of paper.cfg: run_link_sim draws twice per symbol on each
-        side (TX: before the PA and at its output; RX: at the LNA input and
-        at the chain output), two complex or four real draws per side. The
-        TX-only window blocks of transmit_waveform draw none: the window
-        carries the TX noise as its variance."""
+        """4 Mbit of paper.cfg: run_link_sim draws three complex (six real)
+        values per symbol: once on the TX side, before the PA, and twice on
+        the RX side, at the LNA input, where the PA's output noise is drawn
+        with kTB, and at the chain output. The TX-only window blocks of
+        transmit_waveform draw none: the window carries the TX noise as its
+        variance."""
         config = load_config(str(PAPER_CFG)).sim_config(n_bits=4_000_000)
         ctx = simulate._build_context(config)
-        expected_sim = 8 * ctx.n_symbols
-        assert expected_sim == 4_000_000
+        expected_sim = 6 * ctx.n_symbols
+        assert expected_sim == 3_000_000
 
         real = simulate.noise_generator
         for threads in ("1", "2"):
